@@ -443,3 +443,291 @@ def test_report_envelope_fields(capsys):
     report = cli.parse_report(out)
     assert report["command"] == "probs"
     assert "inputs" in report and "results" in report and "tool_version" in report
+
+
+# byte-for-byte snapshots -----------------------------------------------------
+
+#: Whole stdout of one --deterministic run per case.  PD and ASYM stand for the
+#: pd_file and asymmetric_file fixtures, and <note> for EQUILIBRIUM_NOTE.
+SNAPSHOTS = {
+    "probs_table": (
+        ["probs", "--a", "1,0,0", "--b", "0,1,0", "--c", "0,0,1"],
+        """\
+outcome  probability
++++      0.125
+-++      0.125
++-+      0.125
+++-      0.125
++--      0.125
+-+-      0.125
+--+      0.125
+---      0.125
+""",
+    ),
+    "probs_oracle_table": (
+        ["probs", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0", "--oracle"],
+        """\
+outcome  probability            oracle                 abs_diff
++++      0.25                   0.24999999999999994    5.551115123125783e-17
+-++      0.0                    0.0                    0.0
++-+      0.0                    0.0                    0.0
+++-      0.0                    0.0                    0.0
++--      0.25                   0.24999999999999994    5.551115123125783e-17
+-+-      0.25                   0.24999999999999994    5.551115123125783e-17
+--+      0.25                   0.24999999999999994    5.551115123125783e-17
+---      0.0                    0.0                    0.0
+max |analytic - oracle| = 5.551115123125783e-17
+""",
+    ),
+    "probs_oracle_csv": (
+        ["probs", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0", "--oracle", "--format", "csv"],
+        """\
+outcome,probability,oracle,abs_diff
++++,0.25,0.24999999999999994,5.551115123125783e-17
+-++,0.0,0.0,0.0
++-+,0.0,0.0,0.0
+++-,0.0,0.0,0.0
++--,0.25,0.24999999999999994,5.551115123125783e-17
+-+-,0.25,0.24999999999999994,5.551115123125783e-17
+--+,0.25,0.24999999999999994,5.551115123125783e-17
+---,0.0,0.0,0.0
+""",
+    ),
+    "payoffs_quantum_table": (
+        ["payoffs", "PD", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"],
+        """\
+quantum payoffs
+  A: 4.25
+  B: 4.25
+  C: 4.25
+""",
+    ),
+    "payoffs_classical_csv": (
+        ["payoffs", "ASYM", "--classical", "0.25,0.5,0.75", "--format", "csv"],
+        """\
+player,payoff
+A,5.53125
+B,4.1875
+C,2.78125
+""",
+    ),
+    "factorize_table": (
+        ["factorize", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1"],
+        """\
+consistent: False
+solution: none
+equation residuals:
+  E1: 0.375  VIOLATED
+  E2: 0.125  VIOLATED
+  E3: 0.125  VIOLATED
+  E4: 0.125  VIOLATED
+  E5: 0.125  VIOLATED
+  E6: 0.125  VIOLATED
+  E7: 0.125  VIOLATED
+  E8: 0.375  VIOLATED
+""",
+    ),
+    "factorize_csv": (
+        ["factorize", "--a", "0,0,1", "--b", "1,0,0", "--c", "1,0,0", "--format", "csv"],
+        """\
+equation,residual,violated
+E1,0.0,false
+E2,0.0,false
+E3,0.0,false
+E4,0.0,false
+E5,0.0,false
+E6,0.0,false
+E7,0.0,false
+E8,0.0,false
+""",
+    ),
+    "ne_verify_table": (
+        ["ne", "PD", "verify", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1", "--check-pd"],
+        """\
+dilemma conditions: pass
+verdict: not_ne
+  best response A: (0.0, -0.0, -1.0)
+  best response B: (0.0, -0.0, -1.0)
+  best response C: (0.0, -0.0, -1.0)
+  witness: player A deviates to (0.0, -0.0, -1.0) for gain 0.5
+note: <note>
+""",
+    ),
+    "ne_verify_csv": (
+        ["ne", "PD", "verify", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1", "--check-pd", "--format", "csv"],
+        """\
+key,value
+verdict,not_ne
+best_response_A,"0.0,-0.0,-1.0"
+best_response_B,"0.0,-0.0,-1.0"
+best_response_C,"0.0,-0.0,-1.0"
+witness_A,"0.0,-0.0,-1.0 gain 0.5"
+""",
+    ),
+    "ne_verify_json": (
+        ["ne", "PD", "verify", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1", "--check-pd", "--format", "json"],
+        """\
+{
+  "command": "ne",
+  "inputs": {
+    "a": [
+      0.0,
+      0.0,
+      1.0
+    ],
+    "b": [
+      0.0,
+      0.0,
+      1.0
+    ],
+    "c": [
+      0.0,
+      0.0,
+      1.0
+    ],
+    "game": {
+      "alpha": 7.0,
+      "beta": 9.0,
+      "delta": 3.0,
+      "epsilon": 0.0,
+      "omega": 1.0,
+      "theta": 5.0,
+      "type": "symmetric"
+    },
+    "subaction": "verify"
+  },
+  "results": {
+    "note": "<note>",
+    "pd_check": {
+      "passed": true,
+      "violated": []
+    },
+    "report": {
+      "best_responses": {
+        "A": [
+          0.0,
+          -0.0,
+          -1.0
+        ],
+        "B": [
+          0.0,
+          -0.0,
+          -1.0
+        ],
+        "C": [
+          0.0,
+          -0.0,
+          -1.0
+        ]
+      },
+      "verdict": "not_ne",
+      "witness": {
+        "direction": [
+          0.0,
+          -0.0,
+          -1.0
+        ],
+        "gain": 0.5,
+        "player": "A"
+      }
+    }
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    ),
+    "ne_find_table": (
+        ["ne", "PD", "find", "--seeds", "2", "--rng-seed", "2"],
+        """\
+equilibria found: 2
+  [0] strict  a=(-0.1873999036899532, 0.7754246603097731, -0.6029907729646196) b=(-0.7531367549566194, 0.5551684973273435, 0.35294895935349146) c=(-0.3675848134729689, 0.8740614290753409, 0.3176444916991562) seeds=[0]
+  [1] strict  a=(0.8901118359635087, 0.19298839695740835, 0.4128636556025263) b=(-0.3386863612276535, -0.8159057137266562, 0.46860368652686346) c=(-0.120663671227136, 0.6632845803580336, -0.7385755505737085) seeds=[1]
+note: <note>
+""",
+    ),
+    "ne_find_csv": (
+        ["ne", "PD", "find", "--seeds", "3", "--rng-seed", "2", "--format", "csv"],
+        """\
+index,verdict,a,b,c,seeds
+0,strict,"-0.1873999036899532,0.7754246603097731,-0.6029907729646196","-0.7531367549566194,0.5551684973273435,0.35294895935349146","-0.3675848134729689,0.8740614290753409,0.3176444916991562",0
+1,strict,"0.8901118359635087,0.19298839695740835,0.4128636556025263","-0.3386863612276535,-0.8159057137266562,0.46860368652686346","-0.120663671227136,0.6632845803580336,-0.7385755505737085",1
+2,strict,"-0.20411632785525677,0.08495622944861718,-0.9752532818610554","0.3360192666337567,0.590731386932181,0.7335717285610823","-0.41736100119300007,0.3233903331080268,0.8492517218913695",2
+""",
+    ),
+    "sweep_csv": (
+        ["sweep", "PD", "--rotate", "A", "--plane", "xy", "--steps", "4", "--b", "1,0,0", "--c", "0,1,0", "--format", "csv"],
+        """\
+angle,prob_+++,prob_-++,prob_+-+,prob_++-,prob_+--,prob_-+-,prob_--+,prob_---,payoff_a,payoff_b,payoff_c
+0.0,0.125,0.125,0.125,0.125,0.125,0.125,0.125,0.125,4.125,4.125,4.125
+1.5707963267948966,0.0,0.25,0.25,0.25,0.0,0.0,0.0,0.25,4.0,4.0,4.0
+3.141592653589793,0.12499999999999999,0.12500000000000003,0.12500000000000003,0.12500000000000003,0.12499999999999999,0.12499999999999999,0.12499999999999999,0.12500000000000003,4.125,4.125,4.125
+4.71238898038469,0.25,0.0,0.0,0.0,0.25,0.25,0.25,0.0,4.25,4.25,4.25
+""",
+    ),
+    "sweep_json": (
+        ["sweep", "PD", "--rotate", "A", "--plane", "xy", "--steps", "4", "--b", "1,0,0", "--c", "0,1,0", "--format", "json"],
+        """\
+{"angle": 0.0, "payoffs": {"A": 4.125, "B": 4.125, "C": 4.125}, "probabilities": {"+++": 0.125, "++-": 0.125, "+-+": 0.125, "+--": 0.125, "-++": 0.125, "-+-": 0.125, "--+": 0.125, "---": 0.125}}
+{"angle": 1.5707963267948966, "payoffs": {"A": 4.0, "B": 4.0, "C": 4.0}, "probabilities": {"+++": 0.0, "++-": 0.25, "+-+": 0.25, "+--": 0.0, "-++": 0.25, "-+-": 0.0, "--+": 0.0, "---": 0.25}}
+{"angle": 3.141592653589793, "payoffs": {"A": 4.125, "B": 4.125, "C": 4.125}, "probabilities": {"+++": 0.12499999999999999, "++-": 0.12500000000000003, "+-+": 0.12500000000000003, "+--": 0.12499999999999999, "-++": 0.12500000000000003, "-+-": 0.12499999999999999, "--+": 0.12499999999999999, "---": 0.12500000000000003}}
+{"angle": 4.71238898038469, "payoffs": {"A": 4.25, "B": 4.25, "C": 4.25}, "probabilities": {"+++": 0.25, "++-": 0.0, "+-+": 0.0, "+--": 0.25, "-++": 0.0, "-+-": 0.25, "--+": 0.25, "---": 0.0}}
+""",
+    ),
+    "check_game_asymmetric_table": (
+        ["check-game", "ASYM"],
+        """\
+symmetric: False
+  violated: b8 = a8
+""",
+    ),
+    "check_game_asymmetric_csv": (
+        ["check-game", "ASYM", "--format", "csv"],
+        """\
+key,value
+symmetric,false
+violation,b8 = a8
+""",
+    ),
+    "check_game_symmetric_json": (
+        ["check-game", "PD", "--format", "json"],
+        """\
+{
+  "command": "check-game",
+  "inputs": {
+    "game": {
+      "alpha": 7.0,
+      "beta": 9.0,
+      "delta": 3.0,
+      "epsilon": 0.0,
+      "omega": 1.0,
+      "theta": 5.0,
+      "type": "symmetric"
+    }
+  },
+  "results": {
+    "constants": {
+      "alpha": 7.0,
+      "beta": 9.0,
+      "delta": 3.0,
+      "epsilon": 0.0,
+      "omega": 1.0,
+      "theta": 5.0
+    },
+    "symmetric": true,
+    "type": "symmetric",
+    "violations": []
+  },
+  "tool_version": "0.1.0"
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SNAPSHOTS))
+def test_output_snapshot(capsys, pd_file, asymmetric_file, name):
+    argv, expected = SNAPSHOTS[name]
+    files = {"PD": pd_file, "ASYM": asymmetric_file}
+    code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in argv] + ["--deterministic"])
+    assert (code, err) == (0, "")
+    assert out == expected.replace("<note>", cli.EQUILIBRIUM_NOTE)
