@@ -13,18 +13,8 @@ import math
 
 import numpy as np
 
-from ghzgames import game, ghz, oracle
-from ghzgames.core import OUTCOMES, Direction, DirectionProfile
-
-
-def random_profile(rng: np.random.Generator) -> DirectionProfile:
-    directions = []
-    while len(directions) < 3:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            directions.append(Direction(*(v / norm)))
-    return DirectionProfile(*directions)
+from ghzgames import game, ghz, oracle, random_direction
+from ghzgames.core import OUTCOMES, DirectionProfile
 
 
 def main() -> None:
@@ -39,7 +29,7 @@ def main() -> None:
     worst_marginal = 0.0
     consistent = 0
     for _ in range(args.profiles):
-        profile = random_profile(rng)
+        profile = DirectionProfile(random_direction(rng), random_direction(rng), random_direction(rng))
         analytic = ghz.joint_distribution(profile)
         reference = oracle.joint_distribution_oracle(profile)
         worst_diff = max(worst_diff, max(abs(analytic[o] - reference[o]) for o in OUTCOMES))

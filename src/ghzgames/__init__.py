@@ -9,6 +9,7 @@ from .core import (
     OutcomeTriple,
     PayoffTriple,
     SymmetricGame,
+    random_direction,
 )
 
 __version__ = "0.1.0"
@@ -23,4 +24,5 @@ __all__ = [
     "PayoffTriple",
     "SymmetricGame",
     "__version__",
+    "random_direction",
 ]

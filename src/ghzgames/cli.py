@@ -77,14 +77,12 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 def _parse_direction(text: str, normalize: bool, spherical: bool, flag: str) -> Direction:
     if spherical:
         theta, phi = _parse_floats(text, 2, flag)
-        return Direction(
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        )
-    a1, a2, a3 = _parse_floats(text, 3, flag)
+        components = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        normalize = False  # --normalize rescales cartesian input only
+    else:
+        components = _parse_floats(text, 3, flag)
     try:
-        return make_direction(a1, a2, a3, normalize=normalize)
+        return make_direction(*components, normalize=normalize)
     except (NotUnitError, ZeroVectorError) as err:
         raise CliError(EXIT_DIRECTION, f"{flag}: {err}") from None
 
@@ -126,7 +124,10 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetricGame | None, dict[s
                 EXIT_PARSE,
                 f"symmetric game file needs numeric fields {_SYMMETRIC_FIELDS}",
             ) from None
-        symmetric = SymmetricGame(**constants)
+        try:
+            symmetric = SymmetricGame(**constants)
+        except ValueError as err:
+            raise CliError(EXIT_PARSE, str(err)) from None
         echo = {"type": "symmetric", **constants}
         return symmetric_to_general(symmetric), symmetric, echo
 
@@ -155,29 +156,6 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetricGame | None, dict[s
     raise CliError(EXIT_PARSE, f"unknown game file type {data['type']!r}")
 
 
-def _direction_list(d: Direction) -> list[float]:
-    return [d.a1, d.a2, d.a3]
-
-
-def _report_envelope(args: argparse.Namespace, command: str, inputs: dict[str, Any],
-                     results: dict[str, Any], rng_seed: int | None = None) -> dict[str, Any]:
-    report: dict[str, Any] = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "tool_version": __version__,
-    }
-    if rng_seed is not None:
-        report["rng_seed"] = rng_seed
-    if not args.deterministic:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return report
-
-
-def _print_json(report: dict[str, Any]) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
 def parse_report(text: str) -> dict[str, Any]:
     """Parse a JSON report emitted by any subcommand (round-trip helper)."""
     return json.loads(text)
@@ -188,23 +166,52 @@ def parse_records(text: str) -> list[dict[str, Any]]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _print_csv(fieldnames: Sequence[str], rows: Sequence[dict[str, Any]]) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(fieldnames), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+def _emit(args: argparse.Namespace, command: str, inputs: dict[str, Any], results: dict[str, Any],
+          fields: Sequence[str], rows: Sequence[Sequence[Any]], lines: Sequence[str],
+          rng_seed: int | None = None) -> int:
+    """Print one report in the selected format and return EXIT_OK.
 
-
-def _print_table(lines: Sequence[str], report: dict[str, Any]) -> None:
-    for line in lines:
-        print(line)
-    if "timestamp" in report:
-        print(f"timestamp: {report['timestamp']}")
+    json prints the envelope (command, inputs, results, tool version, the rng
+    seed when given, and the timestamp unless --deterministic); csv prints
+    ``rows`` under the header ``fields``; table prints ``lines``, then the
+    timestamp unless --deterministic.
+    """
+    timestamp = None if args.deterministic else datetime.now(timezone.utc).isoformat()
+    if args.format == "json":
+        report: dict[str, Any] = {
+            "command": command,
+            "inputs": inputs,
+            "results": results,
+            "tool_version": __version__,
+        }
+        if rng_seed is not None:
+            report["rng_seed"] = rng_seed
+        if timestamp is not None:
+            report["timestamp"] = timestamp
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+        if timestamp is not None:
+            print(f"timestamp: {timestamp}")
+    return EXIT_OK
 
 
 def _fmt(value: float) -> str:
     """Shortest decimal form that reconstructs the exact binary value."""
     return repr(float(value))
+
+
+def _vec(d: Direction, sep: str) -> str:
+    return sep.join(_fmt(x) for x in d.components())
+
+
+def _profile_dict(profile: DirectionProfile) -> dict[str, tuple[float, float, float]]:
+    return {"a": profile.a.components(), "b": profile.b.components(), "c": profile.c.components()}
 
 
 # ---------------------------------------------------------------------------
@@ -214,47 +221,23 @@ def _fmt(value: float) -> str:
 def _cmd_probs(args: argparse.Namespace) -> int:
     profile = _parse_profile(args)
     dist = ghz.joint_distribution(profile)
-    inputs = {
-        "a": _direction_list(profile.a),
-        "b": _direction_list(profile.b),
-        "c": _direction_list(profile.c),
-        "normalize": args.normalize,
-        "oracle": args.oracle,
-    }
-    results: dict[str, Any] = {
-        "probabilities": {o.label(): dist[o] for o in OUTCOMES},
-    }
-    rows = [{"outcome": o.label(), "probability": _fmt(dist[o])} for o in OUTCOMES]
+    inputs = {**_profile_dict(profile), "normalize": args.normalize, "oracle": args.oracle}
+    results: dict[str, Any] = {"probabilities": {o.label(): dist[o] for o in OUTCOMES}}
     fields = ["outcome", "probability"]
-    lines = ["outcome  probability"]
+    rows = [[o.label(), _fmt(dist[o])] for o in OUTCOMES]
+    footer = []
     if args.oracle:
         reference = oracle.joint_distribution_oracle(profile)
         max_diff = max(abs(dist[o] - reference[o]) for o in OUTCOMES)
         results["oracle_probabilities"] = {o.label(): reference[o] for o in OUTCOMES}
         results["max_abs_discrepancy"] = max_diff
-        fields = ["outcome", "probability", "oracle", "abs_diff"]
-        lines = ["outcome  probability            oracle                 abs_diff"]
-        rows = []
-        for o in OUTCOMES:
-            rows.append({
-                "outcome": o.label(),
-                "probability": _fmt(dist[o]),
-                "oracle": _fmt(reference[o]),
-                "abs_diff": _fmt(abs(dist[o] - reference[o])),
-            })
-            lines.append(f"{o.label():8} {_fmt(dist[o]):22} {_fmt(reference[o]):22} {_fmt(abs(dist[o] - reference[o]))}")
-        lines.append(f"max |analytic - oracle| = {_fmt(max_diff)}")
-    else:
-        for o in OUTCOMES:
-            lines.append(f"{o.label():8} {_fmt(dist[o])}")
-    report = _report_envelope(args, "probs", inputs, results)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        _print_csv(fields, rows)
-    else:
-        _print_table(lines, report)
-    return EXIT_OK
+        fields += ["oracle", "abs_diff"]
+        for row, o in zip(rows, OUTCOMES):
+            row += [_fmt(reference[o]), _fmt(abs(dist[o] - reference[o]))]
+        footer.append(f"max |analytic - oracle| = {_fmt(max_diff)}")
+    # The table shows the CSV columns: the first padded to 8, inner ones to 22.
+    lines = [" ".join([f"{r[0]:8}", *(f"{c:22}" for c in r[1:-1]), r[-1]]) for r in [fields, *rows]]
+    return _emit(args, "probs", inputs, results, fields, rows, lines + footer)
 
 
 def _cmd_payoffs(args: argparse.Namespace) -> int:
@@ -278,65 +261,36 @@ def _cmd_payoffs(args: argparse.Namespace) -> int:
     else:
         profile = _parse_profile(args)
         payoffs = game_mod.quantum_payoffs(general, profile)
-        inputs["a"] = _direction_list(profile.a)
-        inputs["b"] = _direction_list(profile.b)
-        inputs["c"] = _direction_list(profile.c)
+        inputs.update(_profile_dict(profile))
         mode = "quantum"
 
-    results = {"mode": mode, "payoffs": {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c}}
-    report = _report_envelope(args, "payoffs", inputs, results)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        _print_csv(["player", "payoff"], [
-            {"player": p, "payoff": _fmt(v)} for p, v in results["payoffs"].items()
-        ])
-    else:
-        lines = [f"{mode} payoffs"]
-        lines += [f"  {p}: {_fmt(v)}" for p, v in results["payoffs"].items()]
-        _print_table(lines, report)
-    return EXIT_OK
+    shown = {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c}
+    results = {"mode": mode, "payoffs": shown}
+    rows = [[p, _fmt(v)] for p, v in shown.items()]
+    lines = [f"{mode} payoffs"] + [f"  {p}: {v}" for p, v in rows]
+    return _emit(args, "payoffs", inputs, results, ["player", "payoff"], rows, lines)
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     profile = _parse_profile(args)
     report_obj = game_mod.factorize(profile)
-    inputs = {
-        "a": _direction_list(profile.a),
-        "b": _direction_list(profile.b),
-        "c": _direction_list(profile.c),
-    }
+    s = report_obj.solution
     results: dict[str, Any] = {
         "consistent": report_obj.consistent,
-        "solution": None if report_obj.solution is None else [
-            report_obj.solution.x, report_obj.solution.y, report_obj.solution.z,
-        ],
+        "solution": None if s is None else [s.x, s.y, s.z],
         "residuals": dict(report_obj.residuals),
         "violated_equations": [list(v) for v in report_obj.violated_equations],
     }
-    report = _report_envelope(args, "factorize", inputs, results)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        violated = {eq for eq, _ in report_obj.violated_equations}
-        _print_csv(["equation", "residual", "violated"], [
-            {"equation": eq, "residual": _fmt(r), "violated": str(eq in violated).lower()}
-            for eq, r in report_obj.residuals.items()
-        ])
-    else:
-        lines = [f"consistent: {report_obj.consistent}"]
-        if report_obj.solution is not None:
-            s = report_obj.solution
-            lines.append(f"solution: x={_fmt(s.x)} y={_fmt(s.y)} z={_fmt(s.z)}")
-        else:
-            lines.append("solution: none")
-        lines.append("equation residuals:")
-        violated = {eq for eq, _ in report_obj.violated_equations}
-        for eq, r in report_obj.residuals.items():
-            marker = "  VIOLATED" if eq in violated else ""
-            lines.append(f"  {eq}: {_fmt(r)}{marker}")
-        _print_table(lines, report)
-    return EXIT_OK
+    violated = {eq for eq, _ in report_obj.violated_equations}
+    rows = [[eq, _fmt(r), str(eq in violated).lower()] for eq, r in report_obj.residuals.items()]
+    lines = [
+        f"consistent: {report_obj.consistent}",
+        "solution: none" if s is None else f"solution: x={_fmt(s.x)} y={_fmt(s.y)} z={_fmt(s.z)}",
+        "equation residuals:",
+    ]
+    lines += [f"  {eq}: {r}{'  VIOLATED' if eq in violated else ''}" for eq, r, _ in rows]
+    fields = ["equation", "residual", "violated"]
+    return _emit(args, "factorize", _profile_dict(profile), results, fields, rows, lines)
 
 
 def _require_symmetric(args: argparse.Namespace) -> tuple[SymmetricGame, dict[str, Any]]:
@@ -351,22 +305,19 @@ def _require_symmetric(args: argparse.Namespace) -> tuple[SymmetricGame, dict[st
 
 
 def _ne_report_dict(report: nash.NEReport) -> dict[str, Any]:
-    payload: dict[str, Any] = {
+    witness = report.witness
+    return {
         "verdict": report.verdict,
         "best_responses": {
-            player: None if d is None else _direction_list(d)
+            player: None if d is None else d.components()
             for player, d in report.best_responses.items()
         },
+        "witness": None if witness is None else {
+            "player": witness.player,
+            "direction": witness.direction.components(),
+            "gain": witness.gain,
+        },
     }
-    if report.witness is None:
-        payload["witness"] = None
-    else:
-        payload["witness"] = {
-            "player": report.witness.player,
-            "direction": _direction_list(report.witness.direction),
-            "gain": report.witness.gain,
-        }
-    return payload
 
 
 def _pd_lines(verdict: nash.PDVerdict) -> list[str]:
@@ -381,6 +332,7 @@ def _cmd_ne(args: argparse.Namespace) -> int:
     inputs: dict[str, Any] = {"game": echo, "subaction": args.subaction}
     results: dict[str, Any] = {"note": EQUILIBRIUM_NOTE}
     lines: list[str] = []
+    rows: list[list[Any]] = []
     rng_seed: int | None = None
 
     if args.check_pd:
@@ -390,33 +342,18 @@ def _cmd_ne(args: argparse.Namespace) -> int:
 
     if args.subaction == "verify":
         profile = _parse_profile(args)
-        inputs["a"] = _direction_list(profile.a)
-        inputs["b"] = _direction_list(profile.b)
-        inputs["c"] = _direction_list(profile.c)
+        inputs.update(_profile_dict(profile))
         ne_report = nash.verify_ne(symmetric, profile)
         results["report"] = _ne_report_dict(ne_report)
         lines.append(f"verdict: {ne_report.verdict}")
+        rows.append(["verdict", ne_report.verdict])
         for player, d in ne_report.best_responses.items():
-            shown = "indifferent" if d is None else f"({_fmt(d.a1)}, {_fmt(d.a2)}, {_fmt(d.a3)})"
-            lines.append(f"  best response {player}: {shown}")
-        if ne_report.witness is not None:
-            w = ne_report.witness
-            lines.append(
-                f"  witness: player {w.player} deviates to "
-                f"({_fmt(w.direction.a1)}, {_fmt(w.direction.a2)}, {_fmt(w.direction.a3)}) "
-                f"for gain {_fmt(w.gain)}"
-            )
-        csv_rows = [{"key": "verdict", "value": ne_report.verdict}]
-        csv_rows += [
-            {"key": f"best_response_{p}", "value": "indifferent" if d is None else ",".join(_fmt(x) for x in _direction_list(d))}
-            for p, d in ne_report.best_responses.items()
-        ]
-        if ne_report.witness is not None:
-            w = ne_report.witness
-            csv_rows.append({
-                "key": f"witness_{w.player}",
-                "value": ",".join(_fmt(x) for x in _direction_list(w.direction)) + f" gain {_fmt(w.gain)}",
-            })
+            lines.append(f"  best response {player}: " + ("indifferent" if d is None else f"({_vec(d, ', ')})"))
+            rows.append([f"best_response_{player}", "indifferent" if d is None else _vec(d, ",")])
+        w = ne_report.witness
+        if w is not None:
+            lines.append(f"  witness: player {w.player} deviates to ({_vec(w.direction, ', ')}) for gain {_fmt(w.gain)}")
+            rows.append([f"witness_{w.player}", f"{_vec(w.direction, ',')} gain {_fmt(w.gain)}"])
         fields = ["key", "value"]
     else:  # find
         if args.seeds < 1:
@@ -427,50 +364,25 @@ def _cmd_ne(args: argparse.Namespace) -> int:
         if not search.equilibria:
             raise CliError(EXIT_SEARCH, "no seed converged to a fixed point")
         results["equilibria"] = [
-            {
-                "profile": {
-                    "a": _direction_list(eq.profile.a),
-                    "b": _direction_list(eq.profile.b),
-                    "c": _direction_list(eq.profile.c),
-                },
-                "report": _ne_report_dict(eq.report),
-                "seeds": list(eq.seeds),
-            }
+            {"profile": _profile_dict(eq.profile), "report": _ne_report_dict(eq.report), "seeds": list(eq.seeds)}
             for eq in search.equilibria
         ]
         results["non_converged_seeds"] = list(search.non_converged)
         lines.append(f"equilibria found: {len(search.equilibria)}")
-        csv_rows = []
         for index, eq in enumerate(search.equilibria):
-            p = eq.profile
+            a, b, c = eq.profile.a, eq.profile.b, eq.profile.c
             lines.append(
-                f"  [{index}] {eq.report.verdict}  "
-                f"a=({_fmt(p.a.a1)}, {_fmt(p.a.a2)}, {_fmt(p.a.a3)}) "
-                f"b=({_fmt(p.b.a1)}, {_fmt(p.b.a2)}, {_fmt(p.b.a3)}) "
-                f"c=({_fmt(p.c.a1)}, {_fmt(p.c.a2)}, {_fmt(p.c.a3)}) "
-                f"seeds={list(eq.seeds)}"
+                f"  [{index}] {eq.report.verdict}  a=({_vec(a, ', ')}) b=({_vec(b, ', ')}) "
+                f"c=({_vec(c, ', ')}) seeds={list(eq.seeds)}"
             )
-            csv_rows.append({
-                "index": index,
-                "verdict": eq.report.verdict,
-                "a": ",".join(_fmt(x) for x in _direction_list(p.a)),
-                "b": ",".join(_fmt(x) for x in _direction_list(p.b)),
-                "c": ",".join(_fmt(x) for x in _direction_list(p.c)),
-                "seeds": " ".join(str(s) for s in eq.seeds),
-            })
+            rows.append([index, eq.report.verdict, _vec(a, ","), _vec(b, ","), _vec(c, ","),
+                         " ".join(str(s) for s in eq.seeds)])
         if search.non_converged:
             lines.append(f"non-converged seeds: {list(search.non_converged)}")
         fields = ["index", "verdict", "a", "b", "c", "seeds"]
 
     lines.append(f"note: {EQUILIBRIUM_NOTE}")
-    report = _report_envelope(args, "ne", inputs, results, rng_seed=rng_seed)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        _print_csv(fields, csv_rows)
-    else:
-        _print_table(lines, report)
-    return EXIT_OK
+    return _emit(args, "ne", inputs, results, fields, rows, lines, rng_seed=rng_seed)
 
 
 _PLANE_BUILDERS = {
@@ -492,83 +404,55 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise CliError(EXIT_PARSE, "--steps must be >= 1")
 
-    fixed: dict[str, Direction] = {}
+    directions: dict[str, Direction] = {}
     for name, flag_value in (("A", args.a), ("B", args.b), ("C", args.c)):
         if name == player:
             continue
         if flag_value is None:
             raise CliError(EXIT_PARSE, f"missing --{name.lower()} for the fixed player {name}")
-        fixed[name] = _parse_direction(flag_value, args.normalize, args.spherical, f"--{name.lower()}")
+        directions[name] = _parse_direction(flag_value, args.normalize, args.spherical, f"--{name.lower()}")
 
+    # Records are written as they are computed, so memory stays flat in --steps.
     build = _PLANE_BUILDERS[args.plane]
-    records = []
+    if args.format != "json":  # csv is also the table rendering of a record stream
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["angle", *(f"prob_{o.label()}" for o in OUTCOMES), "payoff_a", "payoff_b", "payoff_c"])
     for step in range(args.steps):
         angle = 2.0 * math.pi * step / args.steps
-        rotated = Direction(*build(angle))
-        directions = dict(fixed)
-        directions[player] = rotated
+        directions[player] = Direction(*build(angle))
         profile = DirectionProfile(directions["A"], directions["B"], directions["C"])
         dist = ghz.joint_distribution(profile)
         payoffs = game_mod.quantum_payoffs(general, profile)
-        records.append({
-            "angle": angle,
-            "probabilities": {o.label(): dist[o] for o in OUTCOMES},
-            "payoffs": {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c},
-        })
-
-    if args.format == "json":
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
-    else:  # csv is also the table rendering of a record stream
-        fields = (
-            ["angle"]
-            + [f"prob_{o.label()}" for o in OUTCOMES]
-            + ["payoff_a", "payoff_b", "payoff_c"]
-        )
-        rows = []
-        for record in records:
-            row: dict[str, str] = {"angle": _fmt(record["angle"])}
-            for o in OUTCOMES:
-                row[f"prob_{o.label()}"] = _fmt(record["probabilities"][o.label()])
-            row["payoff_a"] = _fmt(record["payoffs"]["A"])
-            row["payoff_b"] = _fmt(record["payoffs"]["B"])
-            row["payoff_c"] = _fmt(record["payoffs"]["C"])
-            rows.append(row)
-        _print_csv(fields, rows)
+        if args.format == "json":
+            print(json.dumps({
+                "angle": angle,
+                "probabilities": {o.label(): dist[o] for o in OUTCOMES},
+                "payoffs": {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c},
+            }, sort_keys=True))
+        else:
+            writer.writerow([_fmt(angle), *(_fmt(dist[o]) for o in OUTCOMES),
+                             _fmt(payoffs.pi_a), _fmt(payoffs.pi_b), _fmt(payoffs.pi_c)])
     return EXIT_OK
 
 
 def _cmd_check_game(args: argparse.Namespace) -> int:
     general, symmetric, echo = load_game_file(args.game_file)
     report_obj = check_symmetry(general)
+    constants = None if symmetric is None else {name: getattr(symmetric, name) for name in _SYMMETRIC_FIELDS}
     results: dict[str, Any] = {
         "type": echo["type"],
         "symmetric": report_obj.symmetric,
-        "constants": None,
+        "constants": constants,
         "violations": list(report_obj.violations),
     }
-    if symmetric is not None:
-        results["constants"] = {
-            name: getattr(symmetric, name) for name in _SYMMETRIC_FIELDS
-        }
-    report = _report_envelope(args, "check-game", {"game": echo}, results)
-    if args.format == "json":
-        _print_json(report)
-    elif args.format == "csv":
-        rows = [{"key": "symmetric", "value": str(report_obj.symmetric).lower()}]
-        if results["constants"] is not None:
-            rows += [{"key": k, "value": _fmt(v)} for k, v in results["constants"].items()]
-        rows += [{"key": "violation", "value": v} for v in report_obj.violations]
-        _print_csv(["key", "value"], rows)
-    else:
-        lines = [f"symmetric: {report_obj.symmetric}"]
-        if results["constants"] is not None:
-            for k, v in results["constants"].items():
-                lines.append(f"  {k} = {_fmt(v)}")
-        for v in report_obj.violations:
-            lines.append(f"  violated: {v}")
-        _print_table(lines, report)
-    return EXIT_OK
+    rows = [["symmetric", str(report_obj.symmetric).lower()]]
+    lines = [f"symmetric: {report_obj.symmetric}"]
+    if constants is not None:
+        rows += [[k, _fmt(v)] for k, v in constants.items()]
+        lines += [f"  {k} = {_fmt(v)}" for k, v in constants.items()]
+    rows += [["violation", v] for v in report_obj.violations]
+    lines += [f"  violated: {v}" for v in report_obj.violations]
+    return _emit(args, "check-game", {"game": echo}, results, ["key", "value"], rows, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Direction inputs must have unit norm within this tolerance.
 UNIT_NORM_TOL = 1e-9
@@ -94,6 +97,20 @@ def make_direction(a1: float, a2: float, a3: float, normalize: bool = False) -> 
             raise ZeroVectorError("cannot normalize the zero vector")
         return Direction(a1 / norm, a2 / norm, a3 / norm)
     return Direction(a1, a2, a3)
+
+
+def random_direction(rng: np.random.Generator) -> Direction:
+    """A direction drawn uniformly from the sphere: a standard normal 3-vector,
+    normalized, drawn again in the (practically unreachable) near-zero case.
+
+    ``math.sqrt(v.dot(v))`` is bit-identical to ``numpy.linalg.norm(v)`` and
+    keeps this module free of a numpy import.
+    """
+    while True:
+        v = rng.normal(size=3)
+        norm = math.sqrt(v.dot(v))
+        if norm > 1e-12:
+            return Direction(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Each player's expected payoff is affine in their own direction components
 once the other two directions are fixed: eight times the payoff equals a
 profile-independent constant plus the dot product of the player's direction
 with a gradient vector built from two game invariants (``gammas``) and
-bilinear combinations of the opponents' components (``delta_set``).  That
-structure makes everything here exact:
+bilinear combinations of the opponents' components (``_payoff_gradient``).
+That structure makes everything here exact:
 
 * unilateral payoff differences have a closed form (``payoff_diff``),
 * the best response is the normalized gradient, or full indifference when
@@ -43,6 +43,7 @@ from .core import (
     DirectionProfile,
     NotInPlaneError,
     SymmetricGame,
+    random_direction,
 )
 
 #: Gradient norms at or below this count as full indifference.
@@ -79,54 +80,15 @@ def gammas(game: SymmetricGame) -> GammaPair:
     return GammaPair(g1, g2)
 
 
-@dataclass(frozen=True)
-class DeltaSet:
-    """Bilinear opponent combinations entering the deviation inequalities.
-
-    Unprimed fields are built from players B and C (they steer player A's
-    payoff), primed from A and C (player B), double-primed from A and B
-    (player C): d1 = b3 + c3, d2 = b1*c1 - b2*c2, d3 = b1*c2 + b2*c1, and
-    the same pattern for the other pairs.
-    """
-
-    d1: float
-    d2: float
-    d3: float
-    d1p: float
-    d2p: float
-    d3p: float
-    d1pp: float
-    d2pp: float
-    d3pp: float
-
-
-def delta_set(profile: DirectionProfile) -> DeltaSet:
-    a, b, c = profile.a, profile.b, profile.c
-    return DeltaSet(
-        d1=b.a3 + c.a3,
-        d2=b.a1 * c.a1 - b.a2 * c.a2,
-        d3=b.a1 * c.a2 + b.a2 * c.a1,
-        d1p=a.a3 + c.a3,
-        d2p=a.a1 * c.a2 + a.a2 * c.a1,
-        d3p=a.a1 * c.a1 - a.a2 * c.a2,
-        d1pp=a.a3 + b.a3,
-        d2pp=a.a1 * b.a2 + a.a2 * b.a1,
-        d3pp=a.a1 * b.a1 - a.a2 * b.a2,
-    )
-
-
-def _others(profile: DirectionProfile, player: str) -> tuple[Direction, Direction]:
+def _split(profile: DirectionProfile, player: str) -> tuple[Direction, Direction, Direction]:
+    """The player's own direction, then the two opponents' in player order."""
     if player == "A":
-        return (profile.b, profile.c)
+        return (profile.a, profile.b, profile.c)
     if player == "B":
-        return (profile.a, profile.c)
+        return (profile.b, profile.a, profile.c)
     if player == "C":
-        return (profile.a, profile.b)
+        return (profile.c, profile.a, profile.b)
     raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
-
-
-def _own(profile: DirectionProfile, player: str) -> Direction:
-    return {"A": profile.a, "B": profile.b, "C": profile.c}[player]
 
 
 def _payoff_gradient(gp: GammaPair, u: Direction, v: Direction) -> tuple[float, float, float]:
@@ -148,32 +110,17 @@ def payoff_diff(
     """Closed-form payoff loss the deviator suffers by leaving the starred profile.
 
     Positive means the starred direction beats the alternative; equals the
-    direct difference of quantum payoffs for that player.
+    direct difference of quantum payoffs for that player.  The payoff is
+    affine in the deviator's own direction, so the loss is the payoff
+    gradient dotted with the change of direction.
     """
-    gp = gammas(game)
-    ds = delta_set(starred)
-    if deviator == "A":
-        s = starred.a
-        return (
-            (s.a3 - alt.a3) * ds.d1 * gp.gamma1
-            + gp.gamma2 * (s.a1 - alt.a1) * ds.d2
-            - gp.gamma2 * (s.a2 - alt.a2) * ds.d3
-        ) / 8.0
-    if deviator == "B":
-        s = starred.b
-        return (
-            (s.a3 - alt.a3) * ds.d1p * gp.gamma1
-            - gp.gamma2 * (s.a2 - alt.a2) * ds.d2p
-            + gp.gamma2 * (s.a1 - alt.a1) * ds.d3p
-        ) / 8.0
-    if deviator == "C":
-        s = starred.c
-        return (
-            (s.a3 - alt.a3) * ds.d1pp * gp.gamma1
-            - gp.gamma2 * (s.a2 - alt.a2) * ds.d2pp
-            + gp.gamma2 * (s.a1 - alt.a1) * ds.d3pp
-        ) / 8.0
-    raise ValueError(f"deviator must be one of {PLAYERS}, got {deviator!r}")
+    own, u, v = _split(starred, deviator)
+    grad = _payoff_gradient(gammas(game), u, v)
+    return (
+        grad[0] * (own.a1 - alt.a1)
+        + grad[1] * (own.a2 - alt.a2)
+        + grad[2] * (own.a3 - alt.a3)
+    ) / 8.0
 
 
 def best_response(
@@ -238,7 +185,7 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
     best: dict[str, Direction | None] = {}
     rows: list[tuple[str, Direction | None, float, bool]] = []
     for player in PLAYERS:
-        u, v = _others(profile, player)
+        own, u, v = _split(profile, player)
         grad = _payoff_gradient(gp, u, v)
         norm = math.hypot(*grad)
         if norm <= GRADIENT_TOL:
@@ -246,7 +193,6 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
             rows.append((player, None, 0.0, False))
             continue
         response = Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
-        own = _own(profile, player)
         gain = (norm - (grad[0] * own.a1 + grad[1] * own.a2 + grad[2] * own.a3)) / 8.0
         if gain < 0.0:
             gain = 0.0
@@ -276,14 +222,6 @@ class SearchResult:
 
     equilibria: tuple[FoundEquilibrium, ...]
     non_converged: tuple[int, ...]
-
-
-def _random_direction(rng: np.random.Generator) -> Direction:
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            return Direction(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
 def _iterate_best_responses(
@@ -337,9 +275,7 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     clusters: list[tuple[DirectionProfile, list[int]]] = []
     failed: list[int] = []
     for seed_index in range(seeds):
-        start = DirectionProfile(
-            _random_direction(rng), _random_direction(rng), _random_direction(rng)
-        )
+        start = DirectionProfile(random_direction(rng), random_direction(rng), random_direction(rng))
         fixed = _iterate_best_responses(game, start)
         if fixed is None:
             failed.append(seed_index)
@@ -366,17 +302,6 @@ def _require_inplane(profile: DirectionProfile, role: str) -> None:
             )
 
 
-def _cross_term(a: Direction, b: Direction, c: Direction) -> float:
-    """In-plane cross term collecting the deviator's components against the
-    opponents' products: a1*b2*c2 + a2*b1*c2 - a1*b1*c1 + a2*b2*c1."""
-    return (
-        a.a1 * b.a2 * c.a2
-        + a.a2 * b.a1 * c.a2
-        - a.a1 * b.a1 * c.a1
-        + a.a2 * b.a2 * c.a1
-    )
-
-
 def case_a_constraints(
     game: SymmetricGame,
     starred: DirectionProfile,
@@ -385,28 +310,14 @@ def case_a_constraints(
     """The three in-plane deviation margins, one per player.
 
     Both profiles must lie in the X-Y plane.  Each returned value is the
-    bracketed constraint for one player, with the cross term evaluated using
-    that player's alternative direction against the other players' starred
-    directions; each equals eight times the corresponding payoff_diff.
+    bracketed constraint for one player, that player's alternative direction
+    played against the other players' starred directions; it equals eight
+    times the corresponding payoff_diff.
     """
     _require_inplane(starred, "starred")
     _require_inplane(alt, "alternative")
-    gp = gammas(game)
-    ds = delta_set(starred)
-    value_a = gp.gamma2 * (
-        starred.a.a1 * ds.d2
-        - starred.a.a2 * ds.d3
-        + _cross_term(alt.a, starred.b, starred.c)
-    )
-    value_b = gp.gamma2 * (
-        -starred.b.a2 * ds.d2p
-        + starred.b.a1 * ds.d3p
-        + _cross_term(starred.a, alt.b, starred.c)
-    )
-    value_c = gp.gamma2 * (
-        -starred.c.a2 * ds.d2pp
-        + starred.c.a1 * ds.d3pp
-        + _cross_term(starred.a, starred.b, alt.c)
+    value_a, value_b, value_c = (
+        8.0 * payoff_diff(game, starred, player, _split(alt, player)[0]) for player in PLAYERS
     )
     return (value_a, value_b, value_c)
 

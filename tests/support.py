@@ -13,19 +13,12 @@ from ghzgames.core import (
     DirectionProfile,
     GeneralGame,
     SymmetricGame,
+    random_direction,
 )
 
 PD = SymmetricGame(alpha=7, beta=9, delta=3, epsilon=0, theta=5, omega=1)
 #: Six constants with gamma2 = 0: fully degenerate in-plane regime.
 DEGENERATE = SymmetricGame(alpha=3, beta=1, delta=1, epsilon=0, theta=0, omega=0)
-
-
-def random_direction(rng: np.random.Generator) -> Direction:
-    while True:
-        v = rng.normal(size=3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-6:
-            return Direction(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
 def random_profile(rng: np.random.Generator) -> DirectionProfile:

@@ -99,6 +99,13 @@ def test_probs_non_unit_exits_3(capsys):
     assert code == 3
 
 
+def test_probs_non_finite_spherical_angle_exits_3(capsys):
+    code, _, err = run_cli(capsys, ["probs", "--spherical", "--a", "nan,0", "--b", "0,0",
+                                    "--c", "0,0"])
+    assert code == 3
+    assert err.startswith("error: --a: ")
+
+
 def test_probs_normalize_accepts_scaled_input(capsys):
     code, out, _ = run_cli(capsys, ["probs", "--a", "2,2,0", "--b", "0,0,1", "--c", "0,0,1",
                                     "--normalize", "--format", "json", "--deterministic"])
@@ -379,6 +386,17 @@ def test_check_game_bad_json_exits_2(capsys, tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     code, _, _ = run_cli(capsys, ["check-game", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_check_game_non_finite_constant_exits_2(capsys, tmp_path, token):
+    # Python's json module accepts these tokens, so SymmetricGame sees them.
+    bad = tmp_path / "inf.json"
+    text = json.dumps(PD_FILE_CONTENT).replace('"alpha": 7', f'"alpha": {token}')
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["check-game", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: payoff constant alpha must be finite")
 
 
 def test_check_game_missing_file_exits_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from ghzgames.core import (
     ZeroVectorError,
     check_symmetry,
     make_direction,
+    random_direction,
     symmetric_to_general,
 )
 from support import PD, symmetric_games, unit_directions
@@ -55,6 +57,14 @@ def test_normalize_is_idempotent_on_unit_vectors(d):
 @given(unit_directions)
 def test_direction_components_bounded(d):
     assert all(abs(x) <= 1 + 1e-9 for x in d.components())
+
+
+def test_random_direction_normalizes_successive_normal_draws():
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(100):
+        v = reference.normal(size=3)
+        norm = float(np.linalg.norm(v))
+        assert random_direction(rng) == Direction(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
 def test_outcome_strategy_bijection_round_trips():

@@ -61,25 +61,26 @@ def test_gammas_scale_linearly(scale):
     assert gp.gamma2 == scale * base.gamma2
 
 
-# delta_set -------------------------------------------------------------------
+# _payoff_gradient -----------------------------------------------------------
 
-def test_delta_set_all_x():
-    ds = nash.delta_set(ALL_X)
-    assert (ds.d1, ds.d2, ds.d3) == (0.0, 1.0, 0.0)
-    assert (ds.d1p, ds.d2p, ds.d3p) == (0.0, 0.0, 1.0)
-    assert (ds.d1pp, ds.d2pp, ds.d3pp) == (0.0, 0.0, 1.0)
-
-
-def test_delta_set_all_z():
-    ds = nash.delta_set(ALL_Z)
-    assert (ds.d1, ds.d1p, ds.d1pp) == (2.0, 2.0, 2.0)
-    assert (ds.d2, ds.d3, ds.d2p, ds.d3p, ds.d2pp, ds.d3pp) == (0.0,) * 6
+def _unit_gradients(profile: DirectionProfile) -> tuple[tuple[float, float, float], ...]:
+    """Each player's gradient with gamma1 = gamma2 = 1, in player order."""
+    unit = nash.GammaPair(1.0, 1.0)
+    return tuple(
+        nash._payoff_gradient(unit, *nash._split(profile, player)[1:]) for player in "ABC"
+    )
 
 
-def test_delta_set_mixed_axis_profile():
-    ds = nash.delta_set(ZZ_MINUS_Z)
-    assert (ds.d1, ds.d1p, ds.d1pp) == (0.0, 0.0, 2.0)
-    assert (ds.d2, ds.d3, ds.d2p, ds.d3p, ds.d2pp, ds.d3pp) == (0.0,) * 6
+def test_payoff_gradient_all_x():
+    assert _unit_gradients(ALL_X) == ((1.0, 0.0, 0.0),) * 3
+
+
+def test_payoff_gradient_all_z():
+    assert _unit_gradients(ALL_Z) == ((0.0, 0.0, 2.0),) * 3
+
+
+def test_payoff_gradient_mixed_axis_profile():
+    assert _unit_gradients(ZZ_MINUS_Z) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 2.0))
 
 
 # payoff_diff -----------------------------------------------------------------
@@ -260,6 +261,20 @@ def test_find_ne_pd_converges_to_verified_fixed_points():
                 assert _angle(own, response) <= 1e-8
         seen.extend(eq.seeds)
     assert sorted(seen) == list(range(64))
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+def test_find_ne_pd_fixed_points_lie_on_the_continuum_surface(rng_seed):
+    # For the dilemma every fixed point has in-plane azimuths summing to
+    # 0 (mod 2*pi) and third components on za + zb + zc + za*zb*zc = 0.
+    result = nash.find_ne(PD, 64, rng_seed)
+    assert result.equilibria and not result.non_converged
+    for eq in result.equilibria:
+        a, b, c = eq.profile.a, eq.profile.b, eq.profile.c
+        assert min(math.hypot(d.a1, d.a2) for d in (a, b, c)) > 1e-3
+        azimuths = sum(math.atan2(d.a2, d.a1) for d in (a, b, c)) % (2.0 * math.pi)
+        assert min(azimuths, 2.0 * math.pi - azimuths) <= 1e-8
+        assert abs(a.a3 + b.a3 + c.a3 + a.a3 * b.a3 * c.a3) <= 1e-8
 
 
 def test_find_ne_deduplicates_attracting_fixed_points():
