@@ -225,7 +225,7 @@ def _cmd_probs(args: argparse.Namespace) -> int:
     results: dict[str, Any] = {"probabilities": {o.label(): dist[o] for o in OUTCOMES}}
     fields = ["outcome", "probability"]
     rows = [[o.label(), _fmt(dist[o])] for o in OUTCOMES]
-    footer = []
+    footer: list[str] = []
     if args.oracle:
         reference = oracle.joint_distribution_oracle(profile)
         max_diff = max(abs(dist[o] - reference[o]) for o in OUTCOMES)
@@ -320,13 +320,6 @@ def _ne_report_dict(report: nash.NEReport) -> dict[str, Any]:
     }
 
 
-def _pd_lines(verdict: nash.PDVerdict) -> list[str]:
-    lines = [f"dilemma conditions: {'pass' if verdict.passed else 'fail'}"]
-    for name in verdict.violated:
-        lines.append(f"  violated: {name}")
-    return lines
-
-
 def _cmd_ne(args: argparse.Namespace) -> int:
     symmetric, echo = _require_symmetric(args)
     inputs: dict[str, Any] = {"game": echo, "subaction": args.subaction}
@@ -338,7 +331,8 @@ def _cmd_ne(args: argparse.Namespace) -> int:
     if args.check_pd:
         verdict = nash.check_pd(symmetric)
         results["pd_check"] = {"passed": verdict.passed, "violated": list(verdict.violated)}
-        lines += _pd_lines(verdict)
+        lines.append(f"dilemma conditions: {'pass' if verdict.passed else 'fail'}")
+        lines += [f"  violated: {name}" for name in verdict.violated]
 
     if args.subaction == "verify":
         profile = _parse_profile(args)

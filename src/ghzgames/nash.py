@@ -275,7 +275,9 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     clusters: list[tuple[DirectionProfile, list[int]]] = []
     failed: list[int] = []
     for seed_index in range(seeds):
-        start = DirectionProfile(random_direction(rng), random_direction(rng), random_direction(rng))
+        start = DirectionProfile(
+            random_direction(rng), random_direction(rng), random_direction(rng)
+        )
         fixed = _iterate_best_responses(game, start)
         if fixed is None:
             failed.append(seed_index)
