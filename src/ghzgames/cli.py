@@ -352,6 +352,8 @@ def _cmd_ne(args: argparse.Namespace) -> int:
     else:  # find
         if args.seeds < 1:
             raise CliError(EXIT_PARSE, "--seeds must be >= 1")
+        if args.rng_seed < 0:
+            raise CliError(EXIT_PARSE, "--rng-seed must be >= 0")
         rng_seed = args.rng_seed
         inputs["seeds"] = args.seeds
         search = nash.find_ne(symmetric, args.seeds, args.rng_seed)

@@ -265,14 +265,24 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
 
     Runs ``seeds`` independent starts drawn uniformly from the sphere (the
     generator is seeded with ``rng_seed``, so results are reproducible).
-    Converged fixed points are deduplicated within DEDUP_TOL_RAD, classified
-    with verify_ne, and returned in first-seen seed order.  Seeds are
-    evaluated sequentially, so the output is independent of any scheduling.
+    Each converged fixed point joins the earliest cluster whose
+    representative is within DEDUP_TOL_RAD of it for every player, or else
+    starts a new cluster.  Clusters are classified with verify_ne and
+    returned in first-seen seed order.  Seeds are evaluated sequentially, so
+    the output is independent of any scheduling.
+
+    Candidate clusters are looked up by the cell of A's first component, so
+    the dedup cost is near-linear in seeds unless many fixed points share
+    that cell.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds!r}")
     rng = np.random.default_rng(rng_seed)
     clusters: list[tuple[DirectionProfile, list[int]]] = []
+    # An angle is at least the chord, which is at least |delta a1|, so a
+    # cluster within DEDUP_TOL_RAD lies in the same or a neighbouring cell.
+    cell = 2.0 * DEDUP_TOL_RAD
+    cells: dict[int, list[int]] = {}
     failed: list[int] = []
     for seed_index in range(seeds):
         start = DirectionProfile(
@@ -282,11 +292,15 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
         if fixed is None:
             failed.append(seed_index)
             continue
-        for known, hits in clusters:
+        key = math.floor(fixed.a.a1 / cell)
+        nearby = sorted(cells.get(key - 1, []) + cells.get(key, []) + cells.get(key + 1, []))
+        for index in nearby:
+            known, hits = clusters[index]
             if _profile_distance(known, fixed) < DEDUP_TOL_RAD:
                 hits.append(seed_index)
                 break
         else:
+            cells.setdefault(key, []).append(len(clusters))
             clusters.append((fixed, [seed_index]))
     equilibria = tuple(
         FoundEquilibrium(profile, verify_ne(game, profile), tuple(hits))

@@ -304,6 +304,13 @@ def test_ne_find_rejects_bad_seed_count(capsys, pd_file):
     assert code == 2
 
 
+def test_ne_find_rejects_negative_rng_seed(capsys, pd_file):
+    code, out, err = run_cli(capsys, ["ne", pd_file, "find", "--rng-seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--rng-seed" in err and "Traceback" not in err
+
+
 # sweep -----------------------------------------------------------------------
 
 def test_sweep_emits_one_record_per_step(capsys, pd_file):

@@ -300,6 +300,144 @@ def test_find_ne_zero_game_every_start_is_weak():
     assert all(eq.report.verdict == nash.WEAK for eq in result.equilibria)
 
 
+# find_ne dedup against the pairwise reference ---------------------------------
+
+def _pairwise_clusters(fixed_points):
+    """Reference dedup: compare each fixed point with every earlier cluster."""
+    clusters = []
+    failed = []
+    for seed_index, fixed in enumerate(fixed_points):
+        if fixed is None:
+            failed.append(seed_index)
+            continue
+        for known, hits in clusters:
+            if nash._profile_distance(known, fixed) < nash.DEDUP_TOL_RAD:
+                hits.append(seed_index)
+                break
+        else:
+            clusters.append((fixed, [seed_index]))
+    return [(profile, tuple(hits)) for profile, hits in clusters], tuple(failed)
+
+
+def _clusters(result):
+    return [(eq.profile, eq.seeds) for eq in result.equilibria], result.non_converged
+
+
+def _find_ne_clusters(monkeypatch, fixed_points):
+    """find_ne's clusters when the dynamics return ``fixed_points`` in seed order."""
+    replies = iter(fixed_points)
+    monkeypatch.setattr(nash, "_iterate_best_responses", lambda game, start: next(replies))
+    return _clusters(nash.find_ne(PD, len(fixed_points), 0))
+
+
+def _nudge(d: Direction, angle: float, rng: np.random.Generator) -> Direction:
+    """d rotated by ``angle`` radians towards a random tangent direction."""
+    own = np.array(d.components())
+    tangent = rng.normal(size=3)
+    tangent -= tangent.dot(own) * own
+    tangent /= np.linalg.norm(tangent)
+    return Direction(*(math.cos(angle) * own + math.sin(angle) * tangent))
+
+
+def _near_y(a1: float) -> Direction:
+    """The in-plane direction with first component ``a1`` and positive second."""
+    return Direction(a1, math.sqrt(1.0 - a1 * a1), 0.0)
+
+
+def _jittered_points(rng: np.random.Generator):
+    bases = [random_profile(rng) for _ in range(6)]
+    points = []
+    for _ in range(200):
+        base = bases[rng.integers(len(bases))]
+        angle = math.exp(rng.uniform(math.log(1e-7), math.log(2e-6)))
+        directions = [base.a, base.b, base.c]
+        moved = rng.integers(3)
+        directions[moved] = _nudge(directions[moved], angle, rng)
+        points.append(None if rng.random() < 0.05 else DirectionProfile(*directions))
+    return points
+
+
+def _shared_a1_points(rng: np.random.Generator):
+    # Pole-like profiles: A plays +-z, so every a.a1 is exactly 0.
+    bases = [
+        DirectionProfile(Z_AXIS if k % 2 else MINUS_Z, random_direction(rng), random_direction(rng))
+        for k in range(40)
+    ]
+    picks = rng.integers(len(bases), size=120)
+    return bases + [
+        DirectionProfile(bases[k].a, _nudge(bases[k].b, 5e-7, rng), bases[k].c) for k in picks
+    ]
+
+
+def _cell_edge_points(rng: np.random.Generator):
+    cell = 2.0 * nash.DEDUP_TOL_RAD
+    b, c = random_direction(rng), random_direction(rng)
+    points = []
+    for edge in (-2 * cell, -cell, 0.0, cell, 5 * cell):
+        for below, above in ((0.3e-6, 0.3e-6), (0.6e-6, 0.6e-6), (0.1e-6, 0.85e-6)):
+            points.append(DirectionProfile(_near_y(edge - below), b, c))
+            points.append(DirectionProfile(_near_y(edge + above), b, c))
+        points.append(DirectionProfile(_near_y(edge), b, c))
+    return points
+
+
+@pytest.mark.parametrize("make_points", [_jittered_points, _shared_a1_points, _cell_edge_points])
+@pytest.mark.parametrize("rng_seed", range(3))
+def test_find_ne_dedup_matches_pairwise_reference(monkeypatch, make_points, rng_seed):
+    points = make_points(np.random.default_rng(rng_seed))
+    assert _find_ne_clusters(monkeypatch, points) == _pairwise_clusters(points)
+
+
+def test_find_ne_dedup_joins_the_earliest_of_two_clusters(monkeypatch):
+    # The earlier cluster sits one cell above the later one; the last point
+    # is within tolerance of both.
+    points = [DirectionProfile(_near_y(a1), Y_AXIS, Z_AXIS) for a1 in (2.5e-6, 1.0e-6, 1.75e-6)]
+    clusters, _ = _find_ne_clusters(monkeypatch, points)
+    assert [seeds for _, seeds in clusters] == [(0, 2), (1,)]
+
+
+def test_find_ne_dedup_matches_pairwise_reference_on_real_fixed_points(monkeypatch):
+    recorded = []
+    iterate = nash._iterate_best_responses
+
+    def recording(game, start):
+        fixed = iterate(game, start)
+        recorded.append(fixed)
+        return fixed
+
+    monkeypatch.setattr(nash, "_iterate_best_responses", recording)
+    result = nash.find_ne(PD, 512, 11)
+    assert len(recorded) == 512
+    assert _clusters(result) == _pairwise_clusters(recorded)
+
+
+def _count_distance_calls(monkeypatch, game, seeds):
+    calls = 0
+    distance = nash._profile_distance
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return distance(p, q)
+
+    monkeypatch.setattr(nash, "_profile_distance", counting)
+    nash.find_ne(game, seeds, 0)
+    return calls
+
+
+def test_find_ne_dedup_work_is_near_linear_on_the_continuum(monkeypatch):
+    # Every dilemma seed is its own fixed point; a pairwise scan makes
+    # 1024 * 1023 / 2 comparisons here.
+    assert _count_distance_calls(monkeypatch, PD, 1024) <= 1024
+
+
+def test_find_ne_dedup_work_on_two_pole_game(monkeypatch):
+    # Every seed reaches one of two pole profiles, so each seed after the
+    # first is compared with the first cluster, and the seeds not in it
+    # with the second as well.
+    assert _count_distance_calls(monkeypatch, SymmetricGame(6, -4, -7, 4, -1, 6), 2048) == 3071
+
+
 @pytest.mark.parametrize("phi", [0.0, 2 * math.pi / 3, 4 * math.pi / 3])
 def test_symmetric_inplane_profiles_are_best_response_fixed_points(phi):
     d = Direction(math.cos(phi), math.sin(phi), 0.0)
