@@ -31,6 +31,7 @@ from .core import (
     OutcomeTriple,
     PayoffTriple,
     SymmetricGame,
+    SymmetryReport,
     ZeroVectorError,
     check_symmetry,
     make_direction,
@@ -98,12 +99,13 @@ def _parse_profile(args: argparse.Namespace) -> DirectionProfile:
     )
 
 
-def load_game_file(path: str) -> tuple[GeneralGame, SymmetricGame | None, dict[str, Any]]:
+def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, Any]]:
     """Read a game definition file (UTF-8 JSON, extension-agnostic).
 
-    Returns the general payoff table, the symmetric constants when the game
-    is player-symmetric (recovered for 'general' files), and an echo of the
-    parsed definition for reports.
+    Returns the general payoff table, its symmetry report (for 'symmetric'
+    files, symmetric with the file's constants; for 'general' files, the
+    result of check_symmetry), and an echo of the parsed definition for
+    reports.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -129,7 +131,7 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetricGame | None, dict[s
         except ValueError as err:
             raise CliError(EXIT_PARSE, str(err)) from None
         echo = {"type": "symmetric", **constants}
-        return symmetric_to_general(symmetric), symmetric, echo
+        return symmetric_to_general(symmetric), SymmetryReport(True, symmetric, ()), echo
 
     if data["type"] == "general":
         entries = data.get("entries")
@@ -149,9 +151,8 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetricGame | None, dict[s
             general = GeneralGame(table)
         except ValueError as err:
             raise CliError(EXIT_PARSE, str(err)) from None
-        report = check_symmetry(general)
         echo = {"type": "general", "entries": entries}
-        return general, report.game, echo
+        return general, check_symmetry(general), echo
 
     raise CliError(EXIT_PARSE, f"unknown game file type {data['type']!r}")
 
@@ -294,14 +295,13 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _require_symmetric(args: argparse.Namespace) -> tuple[SymmetricGame, dict[str, Any]]:
-    general, symmetric, echo = load_game_file(args.game_file)
-    if symmetric is None:
-        violations = check_symmetry(general).violations
+    _, symmetry, echo = load_game_file(args.game_file)
+    if symmetry.game is None:
         raise CliError(
             EXIT_GAME_SHAPE,
-            "equilibrium analysis needs a symmetric game; violated: " + "; ".join(violations),
+            "equilibrium analysis needs a symmetric game; violated: " + "; ".join(symmetry.violations),
         )
-    return symmetric, echo
+    return symmetry.game, echo
 
 
 def _ne_report_dict(report: nash.NEReport) -> dict[str, Any]:
@@ -418,7 +418,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         directions[player] = Direction(*build(angle))
         profile = DirectionProfile(directions["A"], directions["B"], directions["C"])
         dist = ghz.joint_distribution(profile)
-        payoffs = game_mod.quantum_payoffs(general, profile)
+        payoffs = game_mod.expected_payoffs(general, dist)
         if args.format == "json":
             print(json.dumps({
                 "angle": angle,
@@ -432,8 +432,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_game(args: argparse.Namespace) -> int:
-    general, symmetric, echo = load_game_file(args.game_file)
-    report_obj = check_symmetry(general)
+    _, report_obj, echo = load_game_file(args.game_file)
+    symmetric = report_obj.game
     constants = None if symmetric is None else {name: getattr(symmetric, name) for name in _SYMMETRIC_FIELDS}
     results: dict[str, Any] = {
         "type": echo["type"],

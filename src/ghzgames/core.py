@@ -66,10 +66,12 @@ class Direction:
         object.__setattr__(self, "a1", float(self.a1))
         object.__setattr__(self, "a2", float(self.a2))
         object.__setattr__(self, "a3", float(self.a3))
-        if not all(math.isfinite(v) for v in (self.a1, self.a2, self.a3)):
-            raise NotUnitError(f"direction components must be finite, got {self}")
         norm = math.hypot(self.a1, self.a2, self.a3)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        # Written so that a nan or inf norm fails too; only then is it worth
+        # telling a non-finite component from a wrong length.
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
+            if not all(math.isfinite(v) for v in (self.a1, self.a2, self.a3)):
+                raise NotUnitError(f"direction components must be finite, got {self}")
             raise NotUnitError(
                 f"({self.a1}, {self.a2}, {self.a3}) has norm {norm!r}; "
                 f"unit norm required within {UNIT_NORM_TOL}"
@@ -120,6 +122,21 @@ class DirectionProfile:
     a: Direction
     b: Direction
     c: Direction
+
+
+def in_plane(profile: DirectionProfile) -> bool:
+    """True when every direction's third component is within INPLANE_TOL of 0."""
+    return all(abs(d.a3) <= INPLANE_TOL for d in (profile.a, profile.b, profile.c))
+
+
+def require_inplane(profile: DirectionProfile, role: str = "the") -> None:
+    """Raise NotInPlaneError unless the profile lies in the X-Y plane."""
+    if not in_plane(profile):
+        raise NotInPlaneError(
+            f"{role} profile has third components "
+            f"{(profile.a.a3, profile.b.a3, profile.c.a3)!r} "
+            f"(each must be within {INPLANE_TOL} of 0)"
+        )
 
 
 @dataclass(frozen=True)

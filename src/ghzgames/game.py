@@ -3,7 +3,9 @@
 Covers the classical mixed-strategy expectation, the quantum expectation over
 direction profiles, the X-Y-plane special case, the test of whether a quantum
 distribution can be reproduced by independent mixed strategies, and the
-enumeration of classical pure-strategy equilibria.
+enumeration of classical pure-strategy equilibria.  Every payoff here is one
+expectation of the table rows under some weighting of the eight outcomes
+(``expected_payoffs``).
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from typing import Mapping
 from . import ghz
 from .core import (
     EXACT_TOL,
-    INPLANE_TOL,
     OUTCOMES,
     DirectionProfile,
     GeneralGame,
     MixedProfile,
-    NotInPlaneError,
     OutcomeTriple,
     PayoffTriple,
     SymmetricGame,
+    require_inplane,
     symmetric_to_general,
 )
 
@@ -53,22 +54,25 @@ def product_weight(outcome: OutcomeTriple, mixed: MixedProfile) -> float:
     return wa * wb * wc
 
 
-def _expected_payoffs(game: GeneralGame, weight_of) -> PayoffTriple:
-    pa = math.fsum(weight_of(o) * game.payoff(o).pi_a for o in OUTCOMES)
-    pb = math.fsum(weight_of(o) * game.payoff(o).pi_b for o in OUTCOMES)
-    pc = math.fsum(weight_of(o) * game.payoff(o).pi_c for o in OUTCOMES)
-    return PayoffTriple(pa, pb, pc)
+def expected_payoffs(table: GeneralGame, weights: Mapping[OutcomeTriple, float]) -> PayoffTriple:
+    """Each player's payoff averaged over the table rows, row o weighted by
+    ``weights[o]`` (a JointDistribution or any mapping over the eight outcomes)."""
+    rows = [(weights[o], table.payoff(o)) for o in OUTCOMES]
+    return PayoffTriple(
+        math.fsum(w * p.pi_a for w, p in rows),
+        math.fsum(w * p.pi_b for w, p in rows),
+        math.fsum(w * p.pi_c for w, p in rows),
+    )
 
 
 def classical_payoffs(game: GeneralGame, mixed: MixedProfile) -> PayoffTriple:
     """Expected payoffs when the outcome distribution factorizes over players."""
-    return _expected_payoffs(game, lambda o: product_weight(o, mixed))
+    return expected_payoffs(game, {o: product_weight(o, mixed) for o in OUTCOMES})
 
 
 def quantum_payoffs(game: GeneralGame, profile: DirectionProfile) -> PayoffTriple:
     """Expected payoffs under the GHZ joint distribution for the profile."""
-    dist = ghz.joint_distribution(profile)
-    return _expected_payoffs(game, dist.__getitem__)
+    return expected_payoffs(game, ghz.joint_distribution(profile))
 
 
 def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> PayoffTriple:
@@ -78,14 +82,10 @@ def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> P
     (1 + m*l*k*D)/8, so the whole expectation is driven by the single
     correlation term D.  Agrees with quantum_payoffs on the same inputs.
     """
-    for direction in (profile.a, profile.b, profile.c):
-        if abs(direction.a3) > INPLANE_TOL:
-            raise NotInPlaneError(
-                f"third component {direction.a3!r} exceeds {INPLANE_TOL}"
-            )
+    require_inplane(profile)
     d = ghz.delta(profile)
-    table = symmetric_to_general(game)
-    return _expected_payoffs(table, lambda o: 0.125 * (1.0 + o.m * o.l * o.k * d))
+    weights = {o: 0.125 * (1.0 + o.m * o.l * o.k * d) for o in OUTCOMES}
+    return expected_payoffs(symmetric_to_general(game), weights)
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,13 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    INPLANE_TOL,
     PLAYERS,
     Direction,
     DirectionProfile,
-    NotInPlaneError,
     SymmetricGame,
+    in_plane,
     random_direction,
+    require_inplane,
 )
 
 #: Gradient norms at or below this count as full indifference.
@@ -101,6 +101,19 @@ def _payoff_gradient(gp: GammaPair, u: Direction, v: Direction) -> tuple[float, 
     )
 
 
+def _respond(
+    gp: GammaPair, u: Direction, v: Direction
+) -> tuple[tuple[float, float, float], float, Direction | None]:
+    """The payoff gradient against opponents u and v, its norm, and the best
+    response: the normalized gradient, or None when the norm is at most
+    GRADIENT_TOL and every direction is optimal."""
+    grad = _payoff_gradient(gp, u, v)
+    norm = math.hypot(*grad)
+    if norm <= GRADIENT_TOL:
+        return grad, norm, None
+    return grad, norm, Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
+
+
 def payoff_diff(
     game: SymmetricGame,
     starred: DirectionProfile,
@@ -136,12 +149,7 @@ def best_response(
     """
     if player not in PLAYERS:
         raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
-    u, v = others
-    grad = _payoff_gradient(gammas(game), u, v)
-    norm = math.hypot(*grad)
-    if norm <= GRADIENT_TOL:
-        return None
-    return Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
+    return _respond(gammas(game), *others)[2]
 
 
 def _angle_between(d: Direction, e: Direction) -> float:
@@ -186,17 +194,14 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
     rows: list[tuple[str, Direction | None, float, bool]] = []
     for player in PLAYERS:
         own, u, v = _split(profile, player)
-        grad = _payoff_gradient(gp, u, v)
-        norm = math.hypot(*grad)
-        if norm <= GRADIENT_TOL:
-            best[player] = None
+        grad, norm, response = _respond(gp, u, v)
+        best[player] = response
+        if response is None:
             rows.append((player, None, 0.0, False))
             continue
-        response = Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
         gain = (norm - (grad[0] * own.a1 + grad[1] * own.a2 + grad[2] * own.a3)) / 8.0
         if gain < 0.0:
             gain = 0.0
-        best[player] = response
         rows.append((player, response, gain, _angle_between(own, response) <= ALIGN_TOL_RAD))
     worst = max(rows, key=lambda row: row[2])
     if worst[2] > GAIN_TOL:
@@ -224,6 +229,11 @@ class SearchResult:
     non_converged: tuple[int, ...]
 
 
+#: One sweep's updates in order: the player, their index in the profile, and
+#: the indices of their two opponents in player order.
+_UPDATES = (("A", 0, 1, 2), ("B", 1, 0, 2), ("C", 2, 0, 1))
+
+
 def _iterate_best_responses(
     game: SymmetricGame, start: DirectionProfile
 ) -> DirectionProfile | None:
@@ -232,23 +242,16 @@ def _iterate_best_responses(
     Indifferent players keep their current direction.  Returns None when
     MAX_SWEEPS pass without convergence.
     """
-    a, b, c = start.a, start.b, start.c
+    dirs = [start.a, start.b, start.c]
     for _ in range(MAX_SWEEPS):
         moved = 0.0
-        response = best_response(game, (b, c), "A")
-        if response is not None:
-            moved = max(moved, _angle_between(a, response))
-            a = response
-        response = best_response(game, (a, c), "B")
-        if response is not None:
-            moved = max(moved, _angle_between(b, response))
-            b = response
-        response = best_response(game, (a, b), "C")
-        if response is not None:
-            moved = max(moved, _angle_between(c, response))
-            c = response
+        for player, own, i, j in _UPDATES:
+            response = best_response(game, (dirs[i], dirs[j]), player)
+            if response is not None:
+                moved = max(moved, _angle_between(dirs[own], response))
+                dirs[own] = response
         if moved < SWEEP_MOVE_TOL:
-            return DirectionProfile(a, b, c)
+            return DirectionProfile(*dirs)
     return None
 
 
@@ -309,15 +312,6 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     return SearchResult(equilibria, tuple(failed))
 
 
-def _require_inplane(profile: DirectionProfile, role: str) -> None:
-    for direction in (profile.a, profile.b, profile.c):
-        if abs(direction.a3) > INPLANE_TOL:
-            raise NotInPlaneError(
-                f"{role} profile has third component {direction.a3!r} "
-                f"(must be within {INPLANE_TOL} of 0)"
-            )
-
-
 def case_a_constraints(
     game: SymmetricGame,
     starred: DirectionProfile,
@@ -330,8 +324,8 @@ def case_a_constraints(
     played against the other players' starred directions; it equals eight
     times the corresponding payoff_diff.
     """
-    _require_inplane(starred, "starred")
-    _require_inplane(alt, "alternative")
+    require_inplane(starred, "starred")
+    require_inplane(alt, "alternative")
     value_a, value_b, value_c = (
         8.0 * payoff_diff(game, starred, player, _split(alt, player)[0]) for player in PLAYERS
     )
@@ -344,12 +338,7 @@ def case_b_check(game: SymmetricGame, profile: DirectionProfile) -> bool:
     There every deviation margin vanishes identically, so verify_ne reports
     weak for every in-plane profile.
     """
-    if abs(gammas(game).gamma2) > GRADIENT_TOL:
-        return False
-    return all(
-        abs(direction.a3) <= INPLANE_TOL
-        for direction in (profile.a, profile.b, profile.c)
-    )
+    return abs(gammas(game).gamma2) <= GRADIENT_TOL and in_plane(profile)
 
 
 @dataclass(frozen=True)

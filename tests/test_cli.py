@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ghzgames import cli, nash
+from ghzgames import cli, ghz, nash
 
 PD_FILE_CONTENT = {
     "type": "symmetric",
@@ -331,6 +331,22 @@ def test_sweep_payoff_values_at_key_angles(capsys, pd_file):
     assert records[0]["angle"] == 0.0
     assert records[0]["payoffs"]["A"] == pytest.approx(4.25, abs=1e-12)
     assert records[2]["payoffs"]["A"] == pytest.approx(4.0, abs=1e-12)
+
+
+def test_sweep_computes_each_distribution_once(capsys, pd_file, monkeypatch):
+    calls = 0
+    joint = ghz.joint_distribution
+
+    def counting(profile):
+        nonlocal calls
+        calls += 1
+        return joint(profile)
+
+    monkeypatch.setattr(ghz, "joint_distribution", counting)
+    code, _, _ = run_cli(capsys, ["sweep", pd_file, "--rotate", "A", "--plane", "xy",
+                                  "--steps", "50", "--b", "1,0,0", "--c", "1,0,0"])
+    assert code == 0
+    assert calls == 50
 
 
 def test_sweep_csv_shape(capsys, pd_file):

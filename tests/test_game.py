@@ -10,6 +10,7 @@ from ghzgames.core import (
     PLAYERS,
     Direction,
     DirectionProfile,
+    GeneralGame,
     MixedProfile,
     NotInPlaneError,
     OutcomeTriple,
@@ -64,6 +65,37 @@ def test_quantum_payoffs_uniform_profile():
     payoffs = game.quantum_payoffs(PD_TABLE, DirectionProfile(Z_AXIS, X_AXIS, X_AXIS))
     for value in (payoffs.pi_a, payoffs.pi_b, payoffs.pi_c):
         assert value == pytest.approx(33 / 8, abs=1e-15)
+
+
+# expected_payoffs ------------------------------------------------------------
+
+def _random_table(rng: np.random.Generator) -> GeneralGame:
+    return GeneralGame({o: PayoffTriple(*rng.uniform(-10, 10, size=3)) for o in OUTCOMES})
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda o: o.label())
+def test_expected_payoffs_point_mass_returns_the_row(outcome):
+    table = _random_table(np.random.default_rng(26))
+    weights = {o: 1.0 if o == outcome else 0.0 for o in OUTCOMES}
+    assert game.expected_payoffs(table, weights) == table.payoff(outcome)
+
+
+def test_quantum_payoffs_are_expected_payoffs_over_the_ghz_distribution():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        table = _random_table(rng)
+        profile = random_profile(rng)
+        expected = game.expected_payoffs(table, ghz.joint_distribution(profile))
+        assert game.quantum_payoffs(table, profile) == expected
+
+
+def test_classical_payoffs_are_expected_payoffs_over_product_weights():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        table = _random_table(rng)
+        mixed = MixedProfile(*rng.uniform(0, 1, size=3))
+        weights = {o: game.product_weight(o, mixed) for o in OUTCOMES}
+        assert game.classical_payoffs(table, mixed) == game.expected_payoffs(table, weights)
 
 
 def test_inplane_payoffs_all_x():

@@ -161,6 +161,20 @@ def test_best_response_beats_grid():
 
 # verify_ne -------------------------------------------------------------------
 
+def _others(profile: DirectionProfile, player: str) -> tuple[Direction, Direction]:
+    return {"A": (profile.b, profile.c), "B": (profile.a, profile.c), "C": (profile.a, profile.b)}[player]
+
+
+def test_verify_ne_reports_the_best_response_of_every_player():
+    rng = np.random.default_rng(34)
+    cases = [(PD, ZZ_MINUS_Z), (SymmetricGame(0, 0, 0, 0, 0, 0), random_profile(rng))]
+    cases += [(random_symmetric_game(rng), random_profile(rng)) for _ in range(100)]
+    for g, profile in cases:
+        report = nash.verify_ne(g, profile)
+        for player in ("A", "B", "C"):
+            assert report.best_responses[player] == nash.best_response(g, _others(profile, player), player)
+
+
 def test_verify_all_x_strict():
     report = nash.verify_ne(PD, ALL_X)
     assert report.verdict == nash.STRICT
@@ -436,6 +450,22 @@ def test_find_ne_dedup_work_on_two_pole_game(monkeypatch):
     # first is compared with the first cluster, and the seeds not in it
     # with the second as well.
     assert _count_distance_calls(monkeypatch, SymmetricGame(6, -4, -7, 4, -1, 6), 2048) == 3071
+
+
+def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
+    # Each dilemma seed converges in two sweeps of three best responses, and
+    # the search must make every one of them through nash.best_response.
+    calls = 0
+    respond = nash.best_response
+
+    def counting(game, others, player):
+        nonlocal calls
+        calls += 1
+        return respond(game, others, player)
+
+    monkeypatch.setattr(nash, "best_response", counting)
+    nash.find_ne(PD, 64, 0)
+    assert calls == 384
 
 
 @pytest.mark.parametrize("phi", [0.0, 2 * math.pi / 3, 4 * math.pi / 3])
