@@ -695,6 +695,121 @@ index,verdict,a,b,c,seeds
 2,strict,"-0.20411632785525677,0.08495622944861718,-0.9752532818610554","0.3360192666337567,0.590731386932181,0.7335717285610823","-0.41736100119300007,0.3233903331080268,0.8492517218913695",2
 """,
     ),
+    "ne_find_json": (
+        ["ne", "PD", "find", "--seeds", "2", "--rng-seed", "2", "--format", "json"],
+        """\
+{
+  "command": "ne",
+  "inputs": {
+    "game": {
+      "alpha": 7.0,
+      "beta": 9.0,
+      "delta": 3.0,
+      "epsilon": 0.0,
+      "omega": 1.0,
+      "theta": 5.0,
+      "type": "symmetric"
+    },
+    "seeds": 2,
+    "subaction": "find"
+  },
+  "results": {
+    "equilibria": [
+      {
+        "profile": {
+          "a": [
+            -0.1873999036899532,
+            0.7754246603097731,
+            -0.6029907729646196
+          ],
+          "b": [
+            -0.7531367549566194,
+            0.5551684973273435,
+            0.35294895935349146
+          ],
+          "c": [
+            -0.3675848134729689,
+            0.8740614290753409,
+            0.3176444916991562
+          ]
+        },
+        "report": {
+          "best_responses": {
+            "A": [
+              -0.1873999036899532,
+              0.7754246603097731,
+              -0.6029907729646196
+            ],
+            "B": [
+              -0.7531367549566192,
+              0.5551684973273434,
+              0.3529489593534916
+            ],
+            "C": [
+              -0.3675848134729689,
+              0.8740614290753409,
+              0.3176444916991562
+            ]
+          },
+          "verdict": "strict",
+          "witness": null
+        },
+        "seeds": [
+          0
+        ]
+      },
+      {
+        "profile": {
+          "a": [
+            0.8901118359635087,
+            0.19298839695740835,
+            0.4128636556025263
+          ],
+          "b": [
+            -0.3386863612276535,
+            -0.8159057137266562,
+            0.46860368652686346
+          ],
+          "c": [
+            -0.120663671227136,
+            0.6632845803580336,
+            -0.7385755505737085
+          ]
+        },
+        "report": {
+          "best_responses": {
+            "A": [
+              0.8901118359635088,
+              0.19298839695740835,
+              0.41286365560252625
+            ],
+            "B": [
+              -0.33868636122765355,
+              -0.8159057137266564,
+              0.4686036865268634
+            ],
+            "C": [
+              -0.120663671227136,
+              0.6632845803580336,
+              -0.7385755505737085
+            ]
+          },
+          "verdict": "strict",
+          "witness": null
+        },
+        "seeds": [
+          1
+        ]
+      }
+    ],
+    "non_converged_seeds": [],
+    "note": "<note>"
+  },
+  "rng_seed": 2,
+  "tool_version": "0.1.0"
+}
+""",
+    ),
     "sweep_csv": (
         ["sweep", "PD", "--rotate", "A", "--plane", "xy", "--steps", "4", "--b", "1,0,0", "--c", "0,1,0", "--format", "csv"],
         """\
