@@ -78,7 +78,10 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 def _parse_direction(text: str, normalize: bool, spherical: bool, flag: str) -> Direction:
     if spherical:
         theta, phi = _parse_floats(text, 2, flag)
-        components = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        try:
+            components = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+        except ValueError:  # math.sin and math.cos reject infinite angles
+            raise CliError(EXIT_DIRECTION, f"{flag}: spherical angles must be finite, got {text!r}") from None
         normalize = False  # --normalize rescales cartesian input only
     else:
         components = _parse_floats(text, 3, flag)
@@ -359,22 +362,28 @@ def _cmd_ne(args: argparse.Namespace) -> int:
         search = nash.find_ne(symmetric, args.seeds, args.rng_seed)
         if not search.equilibria:
             raise CliError(EXIT_SEARCH, "no seed converged to a fixed point")
-        results["equilibria"] = [
-            {"profile": _profile_dict(eq.profile), "report": _ne_report_dict(eq.report), "seeds": list(eq.seeds)}
-            for eq in search.equilibria
-        ]
-        results["non_converged_seeds"] = list(search.non_converged)
-        lines.append(f"equilibria found: {len(search.equilibria)}")
-        for index, eq in enumerate(search.equilibria):
-            a, b, c = eq.profile.a, eq.profile.b, eq.profile.c
-            lines.append(
-                f"  [{index}] {eq.report.verdict}  a=({_vec(a, ', ')}) b=({_vec(b, ', ')}) "
-                f"c=({_vec(c, ', ')}) seeds={list(eq.seeds)}"
-            )
-            rows.append([index, eq.report.verdict, _vec(a, ","), _vec(b, ","), _vec(c, ","),
-                         " ".join(str(s) for s in eq.seeds)])
-        if search.non_converged:
-            lines.append(f"non-converged seeds: {list(search.non_converged)}")
+        # A search report can be large, so only the selected format is built.
+        if args.format == "json":
+            results["equilibria"] = [
+                {"profile": _profile_dict(eq.profile), "report": _ne_report_dict(eq.report), "seeds": list(eq.seeds)}
+                for eq in search.equilibria
+            ]
+            results["non_converged_seeds"] = list(search.non_converged)
+        elif args.format == "csv":
+            for index, eq in enumerate(search.equilibria):
+                a, b, c = eq.profile.a, eq.profile.b, eq.profile.c
+                rows.append([index, eq.report.verdict, _vec(a, ","), _vec(b, ","), _vec(c, ","),
+                             " ".join(str(s) for s in eq.seeds)])
+        else:
+            lines.append(f"equilibria found: {len(search.equilibria)}")
+            for index, eq in enumerate(search.equilibria):
+                a, b, c = eq.profile.a, eq.profile.b, eq.profile.c
+                lines.append(
+                    f"  [{index}] {eq.report.verdict}  a=({_vec(a, ', ')}) b=({_vec(b, ', ')}) "
+                    f"c=({_vec(c, ', ')}) seeds={list(eq.seeds)}"
+                )
+            if search.non_converged:
+                lines.append(f"non-converged seeds: {list(search.non_converged)}")
         fields = ["index", "verdict", "a", "b", "c", "seeds"]
 
     lines.append(f"note: {EQUILIBRIUM_NOTE}")

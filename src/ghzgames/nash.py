@@ -80,38 +80,51 @@ def gammas(game: SymmetricGame) -> GammaPair:
     return GammaPair(g1, g2)
 
 
-def _split(profile: DirectionProfile, player: str) -> tuple[Direction, Direction, Direction]:
-    """The player's own direction, then the two opponents' in player order."""
+#: A direction's components (a1, a2, a3), as the search handles them.
+Vec3 = tuple[float, float, float]
+
+
+def _split(profile: DirectionProfile, player: str) -> tuple[Vec3, Vec3, Vec3]:
+    """The player's own components, then the two opponents' in player order."""
+    a, b, c = profile.a.components(), profile.b.components(), profile.c.components()
     if player == "A":
-        return (profile.a, profile.b, profile.c)
+        return (a, b, c)
     if player == "B":
-        return (profile.b, profile.a, profile.c)
+        return (b, a, c)
     if player == "C":
-        return (profile.c, profile.a, profile.b)
+        return (c, a, b)
     raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
 
 
-def _payoff_gradient(gp: GammaPair, u: Direction, v: Direction) -> tuple[float, float, float]:
+def _payoff_gradient(gp: GammaPair, u: Vec3, v: Vec3) -> Vec3:
     """Eight times the gradient of a player's payoff in their own components,
-    given the two opponents' directions u and v (in player order)."""
+    given the two opponents' components u and v (in player order)."""
+    u1, u2, u3 = u
+    v1, v2, v3 = v
     return (
-        gp.gamma2 * (u.a1 * v.a1 - u.a2 * v.a2),
-        -gp.gamma2 * (u.a1 * v.a2 + u.a2 * v.a1),
-        gp.gamma1 * (u.a3 + v.a3),
+        gp.gamma2 * (u1 * v1 - u2 * v2),
+        -gp.gamma2 * (u1 * v2 + u2 * v1),
+        gp.gamma1 * (u3 + v3),
     )
 
 
-def _respond(
-    gp: GammaPair, u: Direction, v: Direction
-) -> tuple[tuple[float, float, float], float, Direction | None]:
+def _respond(gp: GammaPair, u: Vec3, v: Vec3) -> tuple[Vec3, float, Vec3 | None]:
     """The payoff gradient against opponents u and v, its norm, and the best
     response: the normalized gradient, or None when the norm is at most
-    GRADIENT_TOL and every direction is optimal."""
+    GRADIENT_TOL and every direction is optimal.
+
+    A finite norm above GRADIENT_TOL normalizes to a unit vector within a few
+    ulps, so the response needs no validation.  A norm that overflowed is
+    passed through Direction, which rejects it with NotUnitError.
+    """
     grad = _payoff_gradient(gp, u, v)
     norm = math.hypot(*grad)
     if norm <= GRADIENT_TOL:
         return grad, norm, None
-    return grad, norm, Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
+    response = (grad[0] / norm, grad[1] / norm, grad[2] / norm)
+    if not math.isfinite(norm):
+        response = Direction(*response).components()
+    return grad, norm, response
 
 
 def payoff_diff(
@@ -130,9 +143,9 @@ def payoff_diff(
     own, u, v = _split(starred, deviator)
     grad = _payoff_gradient(gammas(game), u, v)
     return (
-        grad[0] * (own.a1 - alt.a1)
-        + grad[1] * (own.a2 - alt.a2)
-        + grad[2] * (own.a3 - alt.a3)
+        grad[0] * (own[0] - alt.a1)
+        + grad[1] * (own[1] - alt.a2)
+        + grad[2] * (own[2] - alt.a3)
     ) / 8.0
 
 
@@ -149,12 +162,13 @@ def best_response(
     """
     if player not in PLAYERS:
         raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
-    return _respond(gammas(game), *others)[2]
+    response = _respond(gammas(game), others[0].components(), others[1].components())[2]
+    return None if response is None else Direction(*response)
 
 
-def _angle_between(d: Direction, e: Direction) -> float:
+def _angle_between(d: Vec3, e: Vec3) -> float:
     """Angle in radians between two unit vectors; stable for tiny angles."""
-    chord = math.hypot(d.a1 - e.a1, d.a2 - e.a2, d.a3 - e.a3)
+    chord = math.hypot(d[0] - e[0], d[1] - e[1], d[2] - e[2])
     return 2.0 * math.asin(min(1.0, chord / 2.0))
 
 
@@ -195,14 +209,15 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
     for player in PLAYERS:
         own, u, v = _split(profile, player)
         grad, norm, response = _respond(gp, u, v)
-        best[player] = response
         if response is None:
+            best[player] = None
             rows.append((player, None, 0.0, False))
             continue
-        gain = (norm - (grad[0] * own.a1 + grad[1] * own.a2 + grad[2] * own.a3)) / 8.0
+        best[player] = Direction(*response)
+        gain = (norm - (grad[0] * own[0] + grad[1] * own[1] + grad[2] * own[2])) / 8.0
         if gain < 0.0:
             gain = 0.0
-        rows.append((player, response, gain, _angle_between(own, response) <= ALIGN_TOL_RAD))
+        rows.append((player, best[player], gain, _angle_between(own, response) <= ALIGN_TOL_RAD))
     worst = max(rows, key=lambda row: row[2])
     if worst[2] > GAIN_TOL:
         witness = DeviationWitness(worst[0], worst[1], worst[2])
@@ -229,9 +244,9 @@ class SearchResult:
     non_converged: tuple[int, ...]
 
 
-#: One sweep's updates in order: the player, their index in the profile, and
-#: the indices of their two opponents in player order.
-_UPDATES = (("A", 0, 1, 2), ("B", 1, 0, 2), ("C", 2, 0, 1))
+#: One sweep's updates in order: the player's index in the profile, and the
+#: indices of their two opponents in player order.
+_UPDATES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def _iterate_best_responses(
@@ -240,26 +255,28 @@ def _iterate_best_responses(
     """Cyclic A, B, C updates until a sweep moves every player < SWEEP_MOVE_TOL.
 
     Indifferent players keep their current direction.  Returns None when
-    MAX_SWEEPS pass without convergence.
+    MAX_SWEEPS pass without convergence.  The updates run on component
+    triples; only the fixed point is built as Directions.
     """
-    dirs = [start.a, start.b, start.c]
+    gp = gammas(game)
+    dirs = [start.a.components(), start.b.components(), start.c.components()]
     for _ in range(MAX_SWEEPS):
         moved = 0.0
-        for player, own, i, j in _UPDATES:
-            response = best_response(game, (dirs[i], dirs[j]), player)
+        for own, i, j in _UPDATES:
+            response = _respond(gp, dirs[i], dirs[j])[2]
             if response is not None:
                 moved = max(moved, _angle_between(dirs[own], response))
                 dirs[own] = response
         if moved < SWEEP_MOVE_TOL:
-            return DirectionProfile(*dirs)
+            return DirectionProfile(*(Direction(*d) for d in dirs))
     return None
 
 
 def _profile_distance(p: DirectionProfile, q: DirectionProfile) -> float:
     return max(
-        _angle_between(p.a, q.a),
-        _angle_between(p.b, q.b),
-        _angle_between(p.c, q.c),
+        _angle_between(p.a.components(), q.a.components()),
+        _angle_between(p.b.components(), q.b.components()),
+        _angle_between(p.c.components(), q.c.components()),
     )
 
 
@@ -277,6 +294,10 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     Candidate clusters are looked up by the cell of A's first component, so
     the dedup cost is near-linear in seeds unless many fixed points share
     that cell.
+
+    The dynamics run on plain (a1, a2, a3) float triples.  Directions are
+    built, and validated, only where they leave the library: the random
+    starts, each fixed point and each verify_ne response.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds!r}")
@@ -327,7 +348,7 @@ def case_a_constraints(
     require_inplane(starred, "starred")
     require_inplane(alt, "alternative")
     value_a, value_b, value_c = (
-        8.0 * payoff_diff(game, starred, player, _split(alt, player)[0]) for player in PLAYERS
+        8.0 * payoff_diff(game, starred, player, d) for player, d in zip(PLAYERS, (alt.a, alt.b, alt.c))
     )
     return (value_a, value_b, value_c)
 

@@ -106,6 +106,20 @@ def test_probs_non_finite_spherical_angle_exits_3(capsys):
     assert err.startswith("error: --a: ")
 
 
+@pytest.mark.parametrize("angles", ["inf,1", "1,-inf", "nan,inf"])
+def test_probs_infinite_spherical_angle_exits_3(capsys, angles):
+    code, _, err = run_cli(capsys, ["probs", "--spherical", f"--a={angles}", "--b", "0,0", "--c", "0,0"])
+    assert code == 3
+    assert err == f"error: --a: spherical angles must be finite, got {angles!r}\n"
+
+
+def test_sweep_infinite_spherical_angle_exits_3(capsys, pd_file):
+    code, out, err = run_cli(capsys, ["sweep", pd_file, "--rotate", "A", "--steps", "4", "--spherical",
+                                      "--b=inf,0", "--c", "0,0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: --b: ")
+
+
 def test_probs_normalize_accepts_scaled_input(capsys):
     code, out, _ = run_cli(capsys, ["probs", "--a", "2,2,0", "--b", "0,0,1", "--c", "0,0,1",
                                     "--normalize", "--format", "json", "--deterministic"])

@@ -8,6 +8,7 @@ from ghzgames.core import (
     Direction,
     DirectionProfile,
     NotInPlaneError,
+    NotUnitError,
     SymmetricGame,
     X_AXIS,
     Y_AXIS,
@@ -29,6 +30,8 @@ MINUS_Z = Direction(0, 0, -1)
 ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
 ALL_Z = DirectionProfile(Z_AXIS, Z_AXIS, Z_AXIS)
 ZZ_MINUS_Z = DirectionProfile(Z_AXIS, Z_AXIS, MINUS_Z)
+#: gamma1 = 12 > 0 and gamma2 = 20: every start runs to one of two pole profiles.
+TWO_POLE = SymmetricGame(6, -4, -7, 4, -1, 6)
 
 GRID = fibonacci_sphere(10_000)
 
@@ -449,23 +452,92 @@ def test_find_ne_dedup_work_on_two_pole_game(monkeypatch):
     # Every seed reaches one of two pole profiles, so each seed after the
     # first is compared with the first cluster, and the seeds not in it
     # with the second as well.
-    assert _count_distance_calls(monkeypatch, SymmetricGame(6, -4, -7, 4, -1, 6), 2048) == 3071
+    assert _count_distance_calls(monkeypatch, TWO_POLE, 2048) == 3071
 
 
 def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
     # Each dilemma seed converges in two sweeps of three best responses, and
-    # the search must make every one of them through nash.best_response.
+    # the search must make every one of them through nash._respond; verify_ne
+    # then makes three per cluster.
     calls = 0
-    respond = nash.best_response
+    respond = nash._respond
 
-    def counting(game, others, player):
+    def counting(gp, u, v):
         nonlocal calls
         calls += 1
-        return respond(game, others, player)
+        return respond(gp, u, v)
 
-    monkeypatch.setattr(nash, "best_response", counting)
-    nash.find_ne(PD, 64, 0)
-    assert calls == 384
+    monkeypatch.setattr(nash, "_respond", counting)
+    result = nash.find_ne(PD, 64, 0)
+    assert calls == 384 + 3 * len(result.equilibria)
+
+
+def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
+    # Three random starts and three fixed-point directions per seed, and at
+    # most three verify_ne responses per cluster; the updates build none.
+    built = 0
+    post_init = Direction.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Direction, "__post_init__", counting)
+    result = nash.find_ne(TWO_POLE, 256, 0)
+    assert built <= 6 * 256 + 3 * len(result.equilibria)
+
+
+# find_ne against the Direction-based reference dynamics -----------------------
+
+def _reference_iterate(game, start):
+    """Reference dynamics: every update builds and validates a Direction."""
+    gp = nash.gammas(game)
+    dirs = [start.a, start.b, start.c]
+    for _ in range(nash.MAX_SWEEPS):
+        moved = 0.0
+        for own, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            u, v = dirs[i], dirs[j]
+            grad = (
+                gp.gamma2 * (u.a1 * v.a1 - u.a2 * v.a2),
+                -gp.gamma2 * (u.a1 * v.a2 + u.a2 * v.a1),
+                gp.gamma1 * (u.a3 + v.a3),
+            )
+            norm = math.hypot(*grad)
+            if norm > nash.GRADIENT_TOL:
+                response = Direction(grad[0] / norm, grad[1] / norm, grad[2] / norm)
+                moved = max(moved, _angle(dirs[own], response))
+                dirs[own] = response
+        if moved < nash.SWEEP_MOVE_TOL:
+            return DirectionProfile(*dirs)
+    return None
+
+
+def _reference_find_ne(monkeypatch, game, seeds, rng_seed):
+    with monkeypatch.context() as patch:
+        patch.setattr(nash, "_iterate_best_responses", _reference_iterate)
+        return nash.find_ne(game, seeds, rng_seed)
+
+
+_SEARCH_GAMES = [PD, TWO_POLE, SymmetricGame(0, 0, 0, 0, 0, 0), DEGENERATE] + [
+    random_symmetric_game(np.random.default_rng(100 + k)) for k in range(20)
+]
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 7])
+@pytest.mark.parametrize("index", range(len(_SEARCH_GAMES)))
+def test_find_ne_matches_the_direction_based_reference(monkeypatch, index, rng_seed):
+    g = _SEARCH_GAMES[index]
+    assert repr(nash.find_ne(g, 24, rng_seed)) == repr(_reference_find_ne(monkeypatch, g, 24, rng_seed))
+
+
+def test_find_ne_overflow_raises_as_the_reference_does(monkeypatch):
+    g = SymmetricGame(1e308, -1e308, 1e308, -1e308, 1e308, -1e308)
+    with pytest.raises(NotUnitError) as expected:
+        _reference_find_ne(monkeypatch, g, 4, 0)
+    with pytest.raises(NotUnitError) as raised:
+        nash.find_ne(g, 4, 0)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("phi", [0.0, 2 * math.pi / 3, 4 * math.pi / 3])
