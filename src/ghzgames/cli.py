@@ -23,6 +23,7 @@ from typing import Any, Sequence
 from . import __version__, game as game_mod, ghz, nash, oracle
 from .core import (
     OUTCOMES,
+    PLAYERS,
     Direction,
     DirectionProfile,
     GeneralGame,
@@ -55,6 +56,9 @@ EQUILIBRIUM_NOTE = (
 )
 
 _SYMMETRIC_FIELDS = ("alpha", "beta", "delta", "epsilon", "theta", "omega")
+
+#: nash raises NotUnitError when a game's payoff gradient overflows to inf or nan.
+_OVERFLOW_MESSAGE = "payoff constants are too large for the equilibrium algebra (the payoff gradient overflows)"
 
 
 class CliError(Exception):
@@ -268,7 +272,7 @@ def _cmd_payoffs(args: argparse.Namespace) -> int:
         inputs.update(_profile_dict(profile))
         mode = "quantum"
 
-    shown = {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c}
+    shown = {p: payoffs.for_player(p) for p in PLAYERS}
     results = {"mode": mode, "payoffs": shown}
     rows = [[p, _fmt(v)] for p, v in shown.items()]
     lines = [f"{mode} payoffs"] + [f"  {p}: {v}" for p, v in rows]
@@ -340,7 +344,10 @@ def _cmd_ne(args: argparse.Namespace) -> int:
     if args.subaction == "verify":
         profile = _parse_profile(args)
         inputs.update(_profile_dict(profile))
-        ne_report = nash.verify_ne(symmetric, profile)
+        try:
+            ne_report = nash.verify_ne(symmetric, profile)
+        except NotUnitError:
+            raise CliError(EXIT_PARSE, _OVERFLOW_MESSAGE) from None
         results["report"] = _ne_report_dict(ne_report)
         lines.append(f"verdict: {ne_report.verdict}")
         rows.append(["verdict", ne_report.verdict])
@@ -359,7 +366,10 @@ def _cmd_ne(args: argparse.Namespace) -> int:
             raise CliError(EXIT_PARSE, "--rng-seed must be >= 0")
         rng_seed = args.rng_seed
         inputs["seeds"] = args.seeds
-        search = nash.find_ne(symmetric, args.seeds, args.rng_seed)
+        try:
+            search = nash.find_ne(symmetric, args.seeds, args.rng_seed)
+        except NotUnitError:
+            raise CliError(EXIT_PARSE, _OVERFLOW_MESSAGE) from None
         if not search.equilibria:
             raise CliError(EXIT_SEARCH, "no seed converged to a fixed point")
         # A search report can be large, so only the selected format is built.
@@ -402,7 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     player = args.rotate
     if player.startswith("player="):
         player = player[len("player="):]
-    if player not in ("A", "B", "C"):
+    if player not in PLAYERS:
         raise CliError(EXIT_PARSE, f"--rotate must name player A, B, or C, got {args.rotate!r}")
     if args.plane not in _PLANE_BUILDERS:
         raise CliError(EXIT_PARSE, f"--plane must be one of xy, yz, xz, got {args.plane!r}")
@@ -410,7 +420,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(EXIT_PARSE, "--steps must be >= 1")
 
     directions: dict[str, Direction] = {}
-    for name, flag_value in (("A", args.a), ("B", args.b), ("C", args.c)):
+    for name, flag_value in zip(PLAYERS, (args.a, args.b, args.c)):
         if name == player:
             continue
         if flag_value is None:
@@ -425,14 +435,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for step in range(args.steps):
         angle = 2.0 * math.pi * step / args.steps
         directions[player] = Direction(*build(angle))
-        profile = DirectionProfile(directions["A"], directions["B"], directions["C"])
+        profile = DirectionProfile(*(directions[p] for p in PLAYERS))
         dist = ghz.joint_distribution(profile)
         payoffs = game_mod.expected_payoffs(general, dist)
         if args.format == "json":
             print(json.dumps({
                 "angle": angle,
                 "probabilities": {o.label(): dist[o] for o in OUTCOMES},
-                "payoffs": {"A": payoffs.pi_a, "B": payoffs.pi_b, "C": payoffs.pi_c},
+                "payoffs": {p: payoffs.for_player(p) for p in PLAYERS},
             }, sort_keys=True))
         else:
             writer.writerow([_fmt(angle), *(_fmt(dist[o]) for o in OUTCOMES),

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 UNIT_NORM_TOL = 1e-9
 #: Third components must be this close to zero for "in the X-Y plane".
 INPLANE_TOL = 1e-9
-#: Probabilities in [-PROB_CLAMP_TOL, 0) read as exactly 0; lower is an error.
+#: Probabilities in [-PROB_CLAMP_TOL, 0) are stored as exactly 0; lower is an error.
 PROB_CLAMP_TOL = 1e-12
 #: Joint distributions must sum to 1 within this tolerance.
 DIST_SUM_TOL = 1e-12
@@ -40,6 +40,14 @@ EXACT_TOL = 1e-12
 
 PLAYERS = ("A", "B", "C")
 PAIRS = ("AB", "AC", "BC")
+
+
+def player_index(player: str) -> int:
+    """The player's position in PLAYERS; any other name raises ValueError."""
+    try:
+        return PLAYERS.index(player)
+    except ValueError:
+        raise ValueError(f"player must be one of {PLAYERS}, got {player!r}") from None
 
 
 class ZeroVectorError(ValueError):
@@ -220,10 +228,7 @@ class PayoffTriple:
             object.__setattr__(self, name, value)
 
     def for_player(self, player: str) -> float:
-        try:
-            return {"A": self.pi_a, "B": self.pi_b, "C": self.pi_c}[player]
-        except KeyError:
-            raise ValueError(f"player must be one of {PLAYERS}, got {player!r}") from None
+        return (self.pi_a, self.pi_b, self.pi_c)[player_index(player)]
 
 
 @dataclass(frozen=True)
@@ -365,8 +370,8 @@ class JointDistribution:
 
     Construction checks that exactly the canonical eight outcomes are present,
     that entries sum to 1 within DIST_SUM_TOL, and that no entry lies below
-    -PROB_CLAMP_TOL.  Reads clamp rounding dust in [-PROB_CLAMP_TOL, 0) to
-    exactly 0.
+    -PROB_CLAMP_TOL.  Rounding dust in [-PROB_CLAMP_TOL, 0) is stored, and so
+    read, as exactly 0; the sum is checked on the values as given.
     """
 
     __slots__ = ("_probs",)
@@ -375,6 +380,7 @@ class JointDistribution:
         items = dict(probs)
         if set(items) != set(OUTCOMES):
             raise ValueError("a joint distribution needs exactly the 8 canonical outcomes")
+        stored = {}
         for outcome in OUTCOMES:
             p = float(items[outcome])
             if not math.isfinite(p):
@@ -383,14 +389,14 @@ class JointDistribution:
                 raise ValueError(
                     f"probability {p!r} for {outcome.label()} is below -{PROB_CLAMP_TOL}"
                 )
+            stored[outcome] = 0.0 if p < 0.0 else p
         total = math.fsum(items[o] for o in OUTCOMES)
         if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        self._probs = {o: float(items[o]) for o in OUTCOMES}
+        self._probs = stored
 
     def __getitem__(self, outcome: OutcomeTriple) -> float:
-        p = self._probs[outcome]
-        return 0.0 if p < 0.0 else p
+        return self._probs[outcome]
 
     def __iter__(self):
         return iter(OUTCOMES)
@@ -399,12 +405,12 @@ class JointDistribution:
         return len(self._probs)
 
     def items(self):
-        """(outcome, probability) pairs in canonical order, clamped on read."""
-        return [(o, self[o]) for o in OUTCOMES]
+        """(outcome, probability) pairs in canonical order."""
+        return list(self._probs.items())
 
     def as_dict(self) -> dict[OutcomeTriple, float]:
-        return {o: self[o] for o in OUTCOMES}
+        return dict(self._probs)
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{o.label()}: {self[o]!r}" for o in OUTCOMES)
+        entries = ", ".join(f"{o.label()}: {p!r}" for o, p in self._probs.items())
         return f"JointDistribution({{{entries}}})"

@@ -18,6 +18,7 @@ from . import ghz
 from .core import (
     EXACT_TOL,
     OUTCOMES,
+    PLAYERS,
     DirectionProfile,
     GeneralGame,
     MixedProfile,
@@ -147,7 +148,7 @@ def classical_pure_ne(game: GeneralGame) -> list[PureEquilibrium]:
     for outcome in OUTCOMES:
         base = game.payoff(outcome)
         gains = []
-        for index, player in enumerate("ABC"):
+        for index, player in enumerate(PLAYERS):
             signs = list(outcome.signs())
             signs[index] = -signs[index]
             deviated = game.payoff(OutcomeTriple(*signs))

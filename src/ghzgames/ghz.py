@@ -9,11 +9,11 @@ with the three-way correlation term
 
     D = a1*b1*c1 - a1*b2*c2 - a2*b1*c2 - a2*b2*c1.
 
-D is the contraction of the rank-3 correlation tensor kept in
-CORRELATION_TENSOR; only four of its 27 entries are nonzero, which is why the
-reduced product form above is used for evaluation (the tensor itself is
-retained so tests can confirm the reduction).  An independent brute-force
-three-qubit evaluation of the same distribution lives in the oracle module.
+D is the contraction of a rank-3 correlation tensor with a, b and c.  Only
+four of its 27 entries are nonzero, which is why the reduced product form
+above is used for evaluation; the tensor itself lives in the tests, which
+confirm the reduction.  An independent brute-force three-qubit evaluation of
+the same distribution lives in the oracle module.
 
 All functions here are pure and thread-safe.  Probabilities are returned at
 full floating precision; formatting is left to callers.
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     OUTCOMES,
     PAIRS,
@@ -32,16 +30,8 @@ from .core import (
     DirectionProfile,
     JointDistribution,
     OutcomeTriple,
+    player_index,
 )
-
-#: Correlation tensor M with M[0,0,0] = 1 and M[0,1,1] = M[1,0,1] = M[1,1,0] = -1
-#: (zero-based indices over the x/y/z components of a, b, c respectively).
-CORRELATION_TENSOR = np.zeros((3, 3, 3))
-CORRELATION_TENSOR[0, 0, 0] = 1.0
-CORRELATION_TENSOR[0, 1, 1] = -1.0
-CORRELATION_TENSOR[1, 0, 1] = -1.0
-CORRELATION_TENSOR[1, 1, 0] = -1.0
-CORRELATION_TENSOR.setflags(write=False)
 
 
 def delta(profile: DirectionProfile) -> float:
@@ -79,9 +69,7 @@ def marginal_single(profile: DirectionProfile, player: str) -> tuple[float, floa
     The GHZ single-party marginal is maximally mixed, so both entries come out
     1/2 for every profile; they are still computed by honest summation.
     """
-    if player not in PLAYERS:
-        raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
-    index = PLAYERS.index(player)
+    index = player_index(player)
     dist = joint_distribution(profile)
     plus = math.fsum(dist[o] for o in OUTCOMES if o.signs()[index] == 1)
     minus = math.fsum(dist[o] for o in OUTCOMES if o.signs()[index] == -1)

@@ -42,6 +42,7 @@ from .core import (
     DirectionProfile,
     SymmetricGame,
     in_plane,
+    player_index,
     random_direction,
     require_inplane,
 )
@@ -83,17 +84,16 @@ def gammas(game: SymmetricGame) -> GammaPair:
 #: A direction's components (a1, a2, a3), as the search handles them.
 Vec3 = tuple[float, float, float]
 
+#: Per player, in PLAYERS order: the player's index in the profile, and the
+#: indices of their two opponents in player order.
+_UPDATES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
 
 def _split(profile: DirectionProfile, player: str) -> tuple[Vec3, Vec3, Vec3]:
     """The player's own components, then the two opponents' in player order."""
-    a, b, c = profile.a.components(), profile.b.components(), profile.c.components()
-    if player == "A":
-        return (a, b, c)
-    if player == "B":
-        return (b, a, c)
-    if player == "C":
-        return (c, a, b)
-    raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
+    dirs = (profile.a.components(), profile.b.components(), profile.c.components())
+    own, i, j = _UPDATES[player_index(player)]
+    return (dirs[own], dirs[i], dirs[j])
 
 
 def _payoff_gradient(gp: GammaPair, u: Vec3, v: Vec3) -> Vec3:
@@ -160,8 +160,7 @@ def best_response(
     normalized payoff gradient, or None when the gradient vanishes and every
     direction is optimal (full indifference).
     """
-    if player not in PLAYERS:
-        raise ValueError(f"player must be one of {PLAYERS}, got {player!r}")
+    player_index(player)
     response = _respond(gammas(game), others[0].components(), others[1].components())[2]
     return None if response is None else Direction(*response)
 
@@ -244,19 +243,15 @@ class SearchResult:
     non_converged: tuple[int, ...]
 
 
-#: One sweep's updates in order: the player's index in the profile, and the
-#: indices of their two opponents in player order.
-_UPDATES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-
-
 def _iterate_best_responses(
     game: SymmetricGame, start: DirectionProfile
 ) -> DirectionProfile | None:
     """Cyclic A, B, C updates until a sweep moves every player < SWEEP_MOVE_TOL.
 
-    Indifferent players keep their current direction.  Returns None when
-    MAX_SWEEPS pass without convergence.  The updates run on component
-    triples; only the fixed point is built as Directions.
+    One sweep updates the players in _UPDATES order.  Indifferent players keep
+    their current direction.  Returns None when MAX_SWEEPS pass without
+    convergence.  The updates run on component triples; only the fixed point
+    is built as Directions.
     """
     gp = gammas(game)
     dirs = [start.a.components(), start.b.components(), start.c.components()]

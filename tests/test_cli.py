@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ghzgames import cli, ghz, nash
+from ghzgames.core import SymmetricGame
 
 PD_FILE_CONTENT = {
     "type": "symmetric",
@@ -17,10 +18,10 @@ def pd_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def general_pd_file(tmp_path):
-    entries = []
-    rows = {
+#: The records of PD_FILE_CONTENT as a general game file.
+PD_GENERAL_ENTRIES = [
+    {"strategies": list(strategies), "payoffs": list(payoffs)}
+    for strategies, payoffs in {
         ("S1", "S1", "S1"): (7, 7, 7),
         ("S2", "S1", "S1"): (9, 3, 3),
         ("S1", "S2", "S1"): (3, 9, 3),
@@ -29,11 +30,14 @@ def general_pd_file(tmp_path):
         ("S2", "S1", "S2"): (5, 0, 5),
         ("S2", "S2", "S1"): (5, 5, 0),
         ("S2", "S2", "S2"): (1, 1, 1),
-    }
-    for strategies, payoffs in rows.items():
-        entries.append({"strategies": list(strategies), "payoffs": list(payoffs)})
+    }.items()
+]
+
+
+@pytest.fixture
+def general_pd_file(tmp_path):
     path = tmp_path / "pd_general.json"
-    path.write_text(json.dumps({"type": "general", "entries": entries}), encoding="utf-8")
+    path.write_text(json.dumps({"type": "general", "entries": PD_GENERAL_ENTRIES}), encoding="utf-8")
     return str(path)
 
 
@@ -97,6 +101,12 @@ def test_probs_non_numeric_vector_exits_2(capsys):
 def test_probs_non_unit_exits_3(capsys):
     code, _, _ = run_cli(capsys, ["probs", "--a", "1,1,0", "--b", "0,0,1", "--c", "0,0,1"])
     assert code == 3
+
+
+def test_probs_missing_direction_flags_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["probs", "--a", "1,0,0"])
+    assert (code, out) == (2, "")
+    assert err == "error: missing direction flag(s): --b, --c\n"
 
 
 def test_probs_non_finite_spherical_angle_exits_3(capsys):
@@ -188,6 +198,12 @@ def test_payoffs_bad_game_schema_exits_2(capsys, tmp_path):
     bad.write_text(json.dumps({"type": "symmetric", "alpha": 1}), encoding="utf-8")
     code, _, _ = run_cli(capsys, ["payoffs", str(bad), "--classical", "0.5,0.5,0.5"])
     assert code == 2
+
+
+def test_payoffs_classical_probability_out_of_range_exits_2(capsys, pd_file):
+    code, out, err = run_cli(capsys, ["payoffs", pd_file, "--classical", "1.5,0,0"])
+    assert (code, out) == (2, "")
+    assert err == "error: probability x must lie in [0, 1], got 1.5\n"
 
 
 def test_payoffs_general_file_matches_symmetric(capsys, pd_file, general_pd_file):
@@ -325,6 +341,42 @@ def test_ne_find_rejects_negative_rng_seed(capsys, pd_file):
     assert "--rng-seed" in err and "Traceback" not in err
 
 
+#: Every constant is finite, but gamma1 and gamma2 overflow to inf or nan.
+OVERFLOW_FILE_CONTENT = {
+    "type": "symmetric",
+    "alpha": 1e308, "beta": -1e308, "delta": 1e308, "epsilon": -1e308, "theta": 1e308, "omega": -1e308,
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("subaction", [
+    ["find", "--seeds", "4"],
+    ["verify", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"],
+], ids=["find", "verify"])
+def test_ne_on_overflowing_constants_exits_2(capsys, tmp_path, subaction, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(OVERFLOW_FILE_CONTENT), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["ne", str(path), *subaction, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: payoff constants are too large for the equilibrium algebra")
+    assert "Traceback" not in err
+
+
+def test_ne_find_table_lists_non_converged_seeds(capsys, tmp_path, monkeypatch):
+    # Six sweeps are too few for some starts on the two-pole game, so the
+    # search gives up on them (two clusters, six seeds left over).
+    monkeypatch.setattr(nash, "MAX_SWEEPS", 6)
+    constants = dict(zip(("alpha", "beta", "delta", "epsilon", "theta", "omega"), (6, -4, -7, 4, -1, 6)))
+    path = tmp_path / "two_pole.json"
+    path.write_text(json.dumps({"type": "symmetric", **constants}), encoding="utf-8")
+    search = nash.find_ne(SymmetricGame(**constants), 16, 0)
+    assert (len(search.equilibria), len(search.non_converged)) == (2, 6)
+    code, out, _ = run_cli(capsys, ["ne", str(path), "find", "--seeds", "16", "--rng-seed", "0"])
+    assert code == 0
+    assert out.splitlines()[0] == "equilibria found: 2"
+    assert f"non-converged seeds: {list(search.non_converged)}" in out.splitlines()
+
+
 # sweep -----------------------------------------------------------------------
 
 def test_sweep_emits_one_record_per_step(capsys, pd_file):
@@ -388,6 +440,13 @@ def test_sweep_bad_spec_exits_2(capsys, pd_file):
     assert code == 2
 
 
+def test_sweep_zero_steps_exits_2(capsys, pd_file):
+    code, out, err = run_cli(capsys, ["sweep", pd_file, "--rotate", "A", "--steps", "0",
+                                      "--b", "1,0,0", "--c", "1,0,0"])
+    assert (code, out) == (2, "")
+    assert err == "error: --steps must be >= 1\n"
+
+
 # check-game ------------------------------------------------------------------
 
 def test_check_game_symmetric_file(capsys, pd_file):
@@ -439,6 +498,24 @@ def test_check_game_non_finite_constant_exits_2(capsys, tmp_path, token):
 def test_check_game_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["check-game", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    ([], "must be an object with a 'type' field"),
+    ({"alpha": 1}, "must be an object with a 'type' field"),
+    ({"type": "general", "entries": PD_GENERAL_ENTRIES[:7]}, "needs an 'entries' list of 8 records"),
+    ({"type": "general", "entries": [{"strategies": ["S3", "S1", "S1"], "payoffs": [7, 7, 7]}]
+      + PD_GENERAL_ENTRIES[1:]}, "strategy label must be 'S1' or 'S2', got 'S3'"),
+    ({"type": "general", "entries": PD_GENERAL_ENTRIES[:7] + PD_GENERAL_ENTRIES[:1]},
+     "duplicate strategy triple ['S1', 'S1', 'S1']"),
+    ({"type": "other"}, "unknown game file type 'other'"),
+], ids=["list", "no-type", "seven-entries", "bad-label", "repeated-triple", "other-type"])
+def test_check_game_malformed_file_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["check-game", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 # report envelope -------------------------------------------------------------

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghzgames import ghz, nash
 from ghzgames.core import (
     OUTCOMES,
+    PLAYERS,
+    X_AXIS,
     Direction,
+    DirectionProfile,
     GeneralGame,
     JointDistribution,
     MixedProfile,
@@ -18,6 +22,7 @@ from ghzgames.core import (
     ZeroVectorError,
     check_symmetry,
     make_direction,
+    player_index,
     random_direction,
     symmetric_to_general,
 )
@@ -172,6 +177,19 @@ def test_joint_distribution_clamps_tiny_negative_on_read():
     assert dist[OUTCOMES[0]] == 0.0
 
 
+@pytest.mark.parametrize("dust, stored", [
+    (-0.5e-12, 0.0), (-1e-12, 0.0), (-5e-324, 0.0), (-0.0, -0.0), (0.0, 0.0), (1e-13, 1e-13),
+])
+def test_joint_distribution_every_read_returns_the_stored_value(dust, stored):
+    probs = _uniform_probs()
+    probs[OUTCOMES[0]] = dust
+    probs[OUTCOMES[1]] = 0.25 - dust
+    dist = JointDistribution(probs)
+    reads = [dist[OUTCOMES[0]], dist.items()[0][1], dist.as_dict()[OUTCOMES[0]]]
+    assert all(r == stored and math.copysign(1.0, r) == math.copysign(1.0, stored) for r in reads)
+    assert repr(dist).startswith(f"JointDistribution({{+++: {stored!r}, -++: ")
+
+
 def test_joint_distribution_rejects_large_negative():
     probs = _uniform_probs()
     probs[OUTCOMES[0]] = -1e-9
@@ -189,3 +207,25 @@ def test_joint_distribution_rejects_bad_sum():
 def test_joint_distribution_canonical_iteration_order():
     dist = JointDistribution(_uniform_probs())
     assert [o for o, _ in dist.items()] == list(OUTCOMES)
+
+
+def test_player_index_follows_players_order():
+    assert [player_index(p) for p in PLAYERS] == [0, 1, 2]
+    assert [PayoffTriple(1, 2, 3).for_player(p) for p in PLAYERS] == [1.0, 2.0, 3.0]
+
+
+_ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
+
+
+@pytest.mark.parametrize("check", [
+    player_index,
+    PayoffTriple(1, 2, 3).for_player,
+    lambda player: ghz.marginal_single(_ALL_X, player),
+    lambda player: nash._split(_ALL_X, player),
+    lambda player: nash.best_response(PD, (X_AXIS, X_AXIS), player),
+], ids=["player_index", "for_player", "marginal_single", "_split", "best_response"])
+@pytest.mark.parametrize("player", ["D", "", "a", None])
+def test_every_player_check_raises_the_same_message(check, player):
+    with pytest.raises(ValueError) as info:
+        check(player)
+    assert str(info.value) == f"player must be one of ('A', 'B', 'C'), got {player!r}"

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +27,22 @@ ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
 ALL_Y = DirectionProfile(Y_AXIS, Y_AXIS, Y_AXIS)
 ALL_Z = DirectionProfile(Z_AXIS, Z_AXIS, Z_AXIS)
 
+#: Correlation tensor M with M[0,0,0] = 1 and M[0,1,1] = M[1,0,1] = M[1,1,0] = -1
+#: (zero-based indices over the x/y/z components of a, b, c respectively);
+#: ghz.delta is its contraction with a, b and c.
+CORRELATION_TENSOR = np.zeros((3, 3, 3))
+CORRELATION_TENSOR[0, 0, 0] = 1.0
+CORRELATION_TENSOR[0, 1, 1] = -1.0
+CORRELATION_TENSOR[1, 0, 1] = -1.0
+CORRELATION_TENSOR[1, 1, 0] = -1.0
+CORRELATION_TENSOR.setflags(write=False)
+
 
 def test_correlation_tensor_has_exactly_four_nonzero_entries():
     nonzero = {
-        idx: ghz.CORRELATION_TENSOR[idx]
+        idx: CORRELATION_TENSOR[idx]
         for idx in itertools.product(range(3), repeat=3)
-        if ghz.CORRELATION_TENSOR[idx] != 0.0
+        if CORRELATION_TENSOR[idx] != 0.0
     }
     assert nonzero == {(0, 0, 0): 1.0, (0, 1, 1): -1.0, (1, 0, 1): -1.0, (1, 1, 0): -1.0}
 
@@ -38,8 +52,16 @@ def test_tensor_contraction_matches_reduced_form(profile):
     a = np.array(profile.a.components())
     b = np.array(profile.b.components())
     c = np.array(profile.c.components())
-    contracted = float(np.einsum("rps,r,p,s->", ghz.CORRELATION_TENSOR, a, b, c))
+    contracted = float(np.einsum("rps,r,p,s->", CORRELATION_TENSOR, a, b, c))
     assert abs(contracted - ghz.delta(profile)) <= 1e-12
+
+
+def test_closed_form_modules_load_without_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    code = "import sys, ghzgames.core, ghzgames.ghz, ghzgames.game; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_delta_all_x_is_one():
