@@ -19,6 +19,20 @@ from ghzgames.core import (
 PD = SymmetricGame(alpha=7, beta=9, delta=3, epsilon=0, theta=5, omega=1)
 #: Six constants with gamma2 = 0: fully degenerate in-plane regime.
 DEGENERATE = SymmetricGame(alpha=3, beta=1, delta=1, epsilon=0, theta=0, omega=0)
+#: The eight records of PD as the entries of a general game file.
+PD_GENERAL_ENTRIES = [
+    {"strategies": list(strategies), "payoffs": list(payoffs)}
+    for strategies, payoffs in (
+        (("S1", "S1", "S1"), (7, 7, 7)),
+        (("S2", "S1", "S1"), (9, 3, 3)),
+        (("S1", "S2", "S1"), (3, 9, 3)),
+        (("S1", "S1", "S2"), (3, 3, 9)),
+        (("S1", "S2", "S2"), (0, 5, 5)),
+        (("S2", "S1", "S2"), (5, 0, 5)),
+        (("S2", "S2", "S1"), (5, 5, 0)),
+        (("S2", "S2", "S2"), (1, 1, 1)),
+    )
+]
 
 
 def random_profile(rng: np.random.Generator) -> DirectionProfile:

@@ -4,6 +4,7 @@ import pytest
 
 from ghzgames import cli, ghz, nash
 from ghzgames.core import SymmetricGame
+from support import PD_GENERAL_ENTRIES
 
 PD_FILE_CONTENT = {
     "type": "symmetric",
@@ -18,22 +19,6 @@ def pd_file(tmp_path):
     return str(path)
 
 
-#: The records of PD_FILE_CONTENT as a general game file.
-PD_GENERAL_ENTRIES = [
-    {"strategies": list(strategies), "payoffs": list(payoffs)}
-    for strategies, payoffs in {
-        ("S1", "S1", "S1"): (7, 7, 7),
-        ("S2", "S1", "S1"): (9, 3, 3),
-        ("S1", "S2", "S1"): (3, 9, 3),
-        ("S1", "S1", "S2"): (3, 3, 9),
-        ("S1", "S2", "S2"): (0, 5, 5),
-        ("S2", "S1", "S2"): (5, 0, 5),
-        ("S2", "S2", "S1"): (5, 5, 0),
-        ("S2", "S2", "S2"): (1, 1, 1),
-    }.items()
-]
-
-
 @pytest.fixture
 def general_pd_file(tmp_path):
     path = tmp_path / "pd_general.json"
@@ -43,19 +28,7 @@ def general_pd_file(tmp_path):
 
 @pytest.fixture
 def asymmetric_file(tmp_path):
-    entries = []
-    rows = [
-        (("S1", "S1", "S1"), (7, 7, 7)),
-        (("S2", "S1", "S1"), (9, 3, 3)),
-        (("S1", "S2", "S1"), (3, 9, 3)),
-        (("S1", "S1", "S2"), (3, 3, 9)),
-        (("S1", "S2", "S2"), (0, 5, 5)),
-        (("S2", "S1", "S2"), (5, 0, 5)),
-        (("S2", "S2", "S1"), (5, 5, 0)),
-        (("S2", "S2", "S2"), (1, 2, 1)),
-    ]
-    for strategies, payoffs in rows:
-        entries.append({"strategies": list(strategies), "payoffs": list(payoffs)})
+    entries = PD_GENERAL_ENTRIES[:7] + [{"strategies": ["S2", "S2", "S2"], "payoffs": [1, 2, 1]}]
     path = tmp_path / "asym.json"
     path.write_text(json.dumps({"type": "general", "entries": entries}), encoding="utf-8")
     return str(path)
@@ -366,7 +339,7 @@ def test_ne_find_table_lists_non_converged_seeds(capsys, tmp_path, monkeypatch):
     # Six sweeps are too few for some starts on the two-pole game, so the
     # search gives up on them (two clusters, six seeds left over).
     monkeypatch.setattr(nash, "MAX_SWEEPS", 6)
-    constants = dict(zip(("alpha", "beta", "delta", "epsilon", "theta", "omega"), (6, -4, -7, 4, -1, 6)))
+    constants = {"alpha": 6, "beta": -4, "delta": -7, "epsilon": 4, "theta": -1, "omega": 6}
     path = tmp_path / "two_pole.json"
     path.write_text(json.dumps({"type": "symmetric", **constants}), encoding="utf-8")
     search = nash.find_ne(SymmetricGame(**constants), 16, 0)

@@ -15,24 +15,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ghzgames import cli
+from support import PD_GENERAL_ENTRIES
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DIRECTION, cli.EXIT_GAME_SHAPE, cli.EXIT_SEARCH}
 
 _FIELDS = ("alpha", "beta", "delta", "epsilon", "theta", "omega")
-_ROWS = [
-    (["S1", "S1", "S1"], [7, 7, 7]), (["S2", "S1", "S1"], [9, 3, 3]),
-    (["S1", "S2", "S1"], [3, 9, 3]), (["S1", "S1", "S2"], [3, 3, 9]),
-    (["S1", "S2", "S2"], [0, 5, 5]), (["S2", "S1", "S2"], [5, 0, 5]),
-    (["S2", "S2", "S1"], [5, 5, 0]), (["S2", "S2", "S2"], [1, 1, 1]),
-]
 
 
 def _symmetric(*constants):
     return json.dumps({"type": "symmetric", **dict(zip(_FIELDS, constants))})
 
 
-def _general(rows):
-    return json.dumps({"type": "general", "entries": [{"strategies": s, "payoffs": p} for s, p in rows]})
+def _general(entries):
+    return json.dumps({"type": "general", "entries": entries})
 
 
 #: Game file name -> file text; "missing" names a file that is never written.
@@ -42,12 +37,12 @@ GAME_FILES = {
     "zero": _symmetric(0, 0, 0, 0, 0, 0),
     "big": _symmetric(1e308, -1e308, 1e308, -1e308, 1e308, -1e308),
     "big_negative": _symmetric(-1e308, 1e308, -1e308, 1e308, -1e308, 1e308),
-    "general_pd": _general(_ROWS),
-    "general_big": _general([(s, [1e308, -1e308, 1e308]) for s, _ in _ROWS]),
-    "asymmetric": _general(_ROWS[:7] + [(["S2", "S2", "S2"], [1, 2, 1])]),
-    "missing_row": _general(_ROWS[:7]),
-    "duplicate_row": _general(_ROWS[:7] + _ROWS[:1]),
-    "bad_label": _general([(["S3", "S1", "S1"], [7, 7, 7])] + _ROWS[1:]),
+    "general_pd": _general(PD_GENERAL_ENTRIES),
+    "general_big": _general([{**e, "payoffs": [1e308, -1e308, 1e308]} for e in PD_GENERAL_ENTRIES]),
+    "asymmetric": _general(PD_GENERAL_ENTRIES[:7] + [{"strategies": ["S2", "S2", "S2"], "payoffs": [1, 2, 1]}]),
+    "missing_row": _general(PD_GENERAL_ENTRIES[:7]),
+    "duplicate_row": _general(PD_GENERAL_ENTRIES[:7] + PD_GENERAL_ENTRIES[:1]),
+    "bad_label": _general([{"strategies": ["S3", "S1", "S1"], "payoffs": [7, 7, 7]}] + PD_GENERAL_ENTRIES[1:]),
     "no_type": json.dumps({"alpha": 1}),
     "other_type": json.dumps({"type": "other"}),
     "not_json": "{not json",

@@ -224,7 +224,7 @@ _ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
     lambda player: nash._split(_ALL_X, player),
     lambda player: nash.best_response(PD, (X_AXIS, X_AXIS), player),
 ], ids=["player_index", "for_player", "marginal_single", "_split", "best_response"])
-@pytest.mark.parametrize("player", ["D", "", "a", None])
+@pytest.mark.parametrize("player", ["D", "", "a", None, ["A"]], ids=["D", "empty", "a", "None", "list"])
 def test_every_player_check_raises_the_same_message(check, player):
     with pytest.raises(ValueError) as info:
         check(player)
