@@ -15,12 +15,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import __version__, game as game_mod, ghz, nash, oracle
+from . import __version__, game as game_mod, ghz, nash
 from .core import (
     OUTCOMES,
     PLAYERS,
@@ -235,6 +236,8 @@ def _cmd_probs(args: argparse.Namespace) -> int:
     rows = [[o.label(), _fmt(dist[o])] for o in OUTCOMES]
     footer: list[str] = []
     if args.oracle:
+        from . import oracle  # here, so that the other commands do not load numpy
+
         reference = oracle.joint_distribution_oracle(profile)
         max_diff = max(abs(dist[o] - reference[o]) for o in OUTCOMES)
         results["oracle_probabilities"] = {o.label(): reference[o] for o in OUTCOMES}
@@ -429,9 +432,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Records are written as they are computed, so memory stays flat in --steps.
     build = _PLANE_BUILDERS[args.plane]
+    labels = [o.label() for o in OUTCOMES]
     if args.format != "json":  # csv is also the table rendering of a record stream
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["angle", *(f"prob_{o.label()}" for o in OUTCOMES), "payoff_a", "payoff_b", "payoff_c"])
+        writer.writerow(["angle", *(f"prob_{label}" for label in labels), "payoff_a", "payoff_b", "payoff_c"])
     for step in range(args.steps):
         angle = 2.0 * math.pi * step / args.steps
         directions[player] = Direction(*build(angle))
@@ -441,11 +445,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.format == "json":
             print(json.dumps({
                 "angle": angle,
-                "probabilities": {o.label(): dist[o] for o in OUTCOMES},
+                "probabilities": dict(zip(labels, dist.values)),
                 "payoffs": {p: payoffs.for_player(p) for p in PLAYERS},
             }, sort_keys=True))
         else:
-            writer.writerow([_fmt(angle), *(_fmt(dist[o]) for o in OUTCOMES),
+            writer.writerow([_fmt(angle), *map(_fmt, dist.values),
                              _fmt(payoffs.pi_a), _fmt(payoffs.pi_b), _fmt(payoffs.pi_c)])
     return EXIT_OK
 
@@ -558,7 +562,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early: that ends the run, not an error.
+        # Pointing stdout at devnull keeps the interpreter's final flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -210,6 +210,8 @@ OUTCOMES = (
     OutcomeTriple(-1, -1, +1),
     OutcomeTriple(-1, -1, -1),
 )
+#: Each outcome triple's position in OUTCOMES.
+OUTCOME_INDEX = {outcome: index for index, outcome in enumerate(OUTCOMES)}
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,12 @@ class PayoffTriple:
 
 @dataclass(frozen=True)
 class GeneralGame:
-    """A 2x2x2 game: one payoff triple per pure-strategy triple (all 8 present)."""
+    """A 2x2x2 game: one payoff triple per pure-strategy triple (all 8 present).
+
+    ``columns`` holds players A's, B's and C's payoffs, each as an 8-tuple in
+    OUTCOMES order.  It is derived from ``entries`` and is not a dataclass
+    field, so repr and == see only the entries.
+    """
 
     entries: Mapping[OutcomeTriple, PayoffTriple]
 
@@ -248,6 +255,11 @@ class GeneralGame:
                 value = PayoffTriple(*value)
             table[outcome] = value
         object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "columns", (
+            tuple(p.pi_a for p in table.values()),
+            tuple(p.pi_b for p in table.values()),
+            tuple(p.pi_c for p in table.values()),
+        ))
 
     def payoff(self, outcome: OutcomeTriple) -> PayoffTriple:
         return self.entries[outcome]
@@ -366,51 +378,67 @@ class MixedProfile:
 
 
 class JointDistribution:
-    """Probabilities over the eight outcome triples.
+    """Probabilities over the eight outcome triples, stored as an 8-tuple in
+    OUTCOMES order (``values``).
 
-    Construction checks that exactly the canonical eight outcomes are present,
-    that entries sum to 1 within DIST_SUM_TOL, and that no entry lies below
-    -PROB_CLAMP_TOL.  Rounding dust in [-PROB_CLAMP_TOL, 0) is stored, and so
-    read, as exactly 0; the sum is checked on the values as given.
+    Built from a mapping over the eight outcomes or from an 8-sequence in
+    OUTCOMES order.  Construction checks that exactly the canonical eight
+    outcomes are present, that no entry is non-finite or below
+    -PROB_CLAMP_TOL (the first offending entry in OUTCOMES order is named),
+    and that the entries sum to 1 within DIST_SUM_TOL.  Rounding dust in
+    [-PROB_CLAMP_TOL, 0) is stored, and so read, as exactly 0; the sum is
+    checked on the values as given.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("_values",)
 
-    def __init__(self, probs: Mapping[OutcomeTriple, float]):
-        items = dict(probs)
-        if set(items) != set(OUTCOMES):
+    def __init__(self, probs: Mapping[OutcomeTriple, float] | Sequence[float]):
+        if hasattr(probs, "keys"):
+            items = dict(probs)
+            if items.keys() != OUTCOME_INDEX.keys():
+                raise ValueError("a joint distribution needs exactly the 8 canonical outcomes")
+            probs = [items[o] for o in OUTCOMES]
+        elif len(probs) != len(OUTCOMES):
             raise ValueError("a joint distribution needs exactly the 8 canonical outcomes")
-        stored = {}
-        for outcome in OUTCOMES:
-            p = float(items[outcome])
-            if not math.isfinite(p):
-                raise ValueError(f"probability for {outcome.label()} must be finite")
-            if p < -PROB_CLAMP_TOL:
-                raise ValueError(
-                    f"probability {p!r} for {outcome.label()} is below -{PROB_CLAMP_TOL}"
-                )
-            stored[outcome] = 0.0 if p < 0.0 else p
-        total = math.fsum(items[o] for o in OUTCOMES)
+        given = values = tuple(map(float, probs))
+        # The sum is finite only if every entry is; then nothing to reject or clamp.
+        if not (math.isfinite(sum(given)) and min(given) >= 0.0):
+            values = tuple(map(_stored_probability, OUTCOMES, given))
+        total = math.fsum(given)
         if abs(total - 1.0) > DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        self._probs = stored
+        self._values = values
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The eight probabilities in OUTCOMES order."""
+        return self._values
 
     def __getitem__(self, outcome: OutcomeTriple) -> float:
-        return self._probs[outcome]
+        return self._values[OUTCOME_INDEX[outcome]]
 
     def __iter__(self):
         return iter(OUTCOMES)
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self._values)
 
     def items(self):
         """(outcome, probability) pairs in canonical order."""
-        return list(self._probs.items())
+        return list(zip(OUTCOMES, self._values))
 
     def as_dict(self) -> dict[OutcomeTriple, float]:
-        return dict(self._probs)
+        return dict(zip(OUTCOMES, self._values))
 
     def __repr__(self) -> str:
-        entries = ", ".join(f"{o.label()}: {p!r}" for o, p in self._probs.items())
+        entries = ", ".join(f"{o.label()}: {p!r}" for o, p in zip(OUTCOMES, self._values))
         return f"JointDistribution({{{entries}}})"
+
+
+def _stored_probability(outcome: OutcomeTriple, p: float) -> float:
+    """One finite entry of at least -PROB_CLAMP_TOL, with dust below 0 stored as 0."""
+    if not math.isfinite(p):
+        raise ValueError(f"probability for {outcome.label()} must be finite")
+    if p < -PROB_CLAMP_TOL:
+        raise ValueError(f"probability {p!r} for {outcome.label()} is below -{PROB_CLAMP_TOL}")
+    return 0.0 if p < 0.0 else p

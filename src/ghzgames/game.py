@@ -11,6 +11,7 @@ expectation of the table rows under some weighting of the eight outcomes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -21,6 +22,7 @@ from .core import (
     PLAYERS,
     DirectionProfile,
     GeneralGame,
+    JointDistribution,
     MixedProfile,
     OutcomeTriple,
     PayoffTriple,
@@ -57,13 +59,17 @@ def product_weight(outcome: OutcomeTriple, mixed: MixedProfile) -> float:
 
 def expected_payoffs(table: GeneralGame, weights: Mapping[OutcomeTriple, float]) -> PayoffTriple:
     """Each player's payoff averaged over the table rows, row o weighted by
-    ``weights[o]`` (a JointDistribution or any mapping over the eight outcomes)."""
-    rows = [(weights[o], table.payoff(o)) for o in OUTCOMES]
-    return PayoffTriple(
-        math.fsum(w * p.pi_a for w, p in rows),
-        math.fsum(w * p.pi_b for w, p in rows),
-        math.fsum(w * p.pi_c for w, p in rows),
-    )
+    ``weights[o]`` (a JointDistribution or any mapping over the eight outcomes).
+
+    The weights are taken in OUTCOMES order, a JointDistribution's straight
+    from its stored tuple, and each player's payoff is the ``fsum`` of
+    weight times that player's column of the table (``GeneralGame.columns``).
+    """
+    if isinstance(weights, JointDistribution):
+        w = weights.values
+    else:
+        w = [weights[o] for o in OUTCOMES]
+    return PayoffTriple(*(math.fsum(map(operator.mul, w, column)) for column in table.columns))
 
 
 def classical_payoffs(game: GeneralGame, mixed: MixedProfile) -> PayoffTriple:

@@ -58,9 +58,24 @@ def kz_probability(outcome: OutcomeTriple, profile: DirectionProfile) -> float:
     )
 
 
+#: The sign triples (m, l, k) of OUTCOMES, in order.
+_SIGNS = tuple(o.signs() for o in OUTCOMES)
+
+
 def joint_distribution(profile: DirectionProfile) -> JointDistribution:
-    """All eight outcome probabilities for one direction profile."""
-    return JointDistribution({o: kz_probability(o, profile) for o in OUTCOMES})
+    """All eight outcome probabilities for one direction profile, in OUTCOMES order.
+
+    D and the three pair products are computed once.  Each value is
+    bit-identical to kz_probability: the terms are added in the same order,
+    and a +-1 factor changes no rounding.
+    """
+    a, b, c = profile.a, profile.b, profile.c
+    ab, ac, bc = a.a3 * b.a3, a.a3 * c.a3, b.a3 * c.a3
+    d = delta(profile)
+    return JointDistribution([
+        0.125 * (1.0 + m * l * ab + m * k * ac + l * k * bc + m * l * k * d)
+        for m, l, k in _SIGNS
+    ])
 
 
 def marginal_single(profile: DirectionProfile, player: str) -> tuple[float, float]:
@@ -70,9 +85,9 @@ def marginal_single(profile: DirectionProfile, player: str) -> tuple[float, floa
     1/2 for every profile; they are still computed by honest summation.
     """
     index = player_index(player)
-    dist = joint_distribution(profile)
-    plus = math.fsum(dist[o] for o in OUTCOMES if o.signs()[index] == 1)
-    minus = math.fsum(dist[o] for o in OUTCOMES if o.signs()[index] == -1)
+    values = joint_distribution(profile).values
+    plus = math.fsum(p for p, signs in zip(values, _SIGNS) if signs[index] == 1)
+    minus = math.fsum(p for p, signs in zip(values, _SIGNS) if signs[index] == -1)
     return (plus, minus)
 
 
@@ -85,13 +100,13 @@ def marginal_pair(profile: DirectionProfile, pair: str) -> dict[tuple[int, int],
     if pair not in PAIRS:
         raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
     first, second = PLAYERS.index(pair[0]), PLAYERS.index(pair[1])
-    dist = joint_distribution(profile)
+    values = joint_distribution(profile).values
     out: dict[tuple[int, int], float] = {}
     for s1 in (1, -1):
         for s2 in (1, -1):
             out[(s1, s2)] = math.fsum(
-                dist[o]
-                for o in OUTCOMES
-                if o.signs()[first] == s1 and o.signs()[second] == s2
+                p
+                for p, signs in zip(values, _SIGNS)
+                if signs[first] == s1 and signs[second] == s2
             )
     return out

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .core import (
     PLAYERS,
     Direction,
@@ -296,6 +294,8 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds!r}")
+    import numpy as np  # here, so that importing nash (and the CLI) does not load numpy
+
     rng = np.random.default_rng(rng_seed)
     clusters: list[tuple[DirectionProfile, list[int]]] = []
     # An angle is at least the chord, which is at least |delta a1|, so a

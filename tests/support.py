@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -33,6 +35,12 @@ PD_GENERAL_ENTRIES = [
         (("S2", "S2", "S2"), (1, 1, 1)),
     )
 ]
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment for a fresh interpreter, with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
 
 
 def random_profile(rng: np.random.Generator) -> DirectionProfile:

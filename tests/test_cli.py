@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from ghzgames import cli, ghz, nash
 from ghzgames.core import SymmetricGame
-from support import PD_GENERAL_ENTRIES
+from support import PD_GENERAL_ENTRIES, checkout_env
 
 PD_FILE_CONTENT = {
     "type": "symmetric",
@@ -951,3 +953,19 @@ def test_output_snapshot(capsys, pd_file, asymmetric_file, name):
     code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in argv] + ["--deterministic"])
     assert (code, err) == (0, "")
     assert out == expected.replace("<note>", cli.EQUILIBRIUM_NOTE)
+
+
+def test_sweep_into_a_pipe_closed_early_exits_0_quietly(pd_file):
+    # The reader stops after one line, as `ghzgames sweep ... | head -1` does.
+    argv = [sys.executable, "-m", "ghzgames.cli", "sweep", pd_file, "--rotate", "A",
+            "--steps", "100000", "--b=1,0,0", "--c=1,0,0"]
+    with subprocess.Popen(argv, env=checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"angle,")
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+    assert code == 0
+    assert err == ""

@@ -1,9 +1,7 @@
 import itertools
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from ghzgames.core import (
     Y_AXIS,
     Z_AXIS,
 )
-from support import direction_profiles, random_profile
+from support import checkout_env, direction_profiles, random_profile
 
 ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
 ALL_Y = DirectionProfile(Y_AXIS, Y_AXIS, Y_AXIS)
@@ -56,12 +54,36 @@ def test_tensor_contraction_matches_reduced_form(profile):
     assert abs(contracted - ghz.delta(profile)) <= 1e-12
 
 
+def _fresh_python(code, *argv):
+    """Run code in a new interpreter with this checkout's src first on the path."""
+    return subprocess.run([sys.executable, "-c", code, *argv], env=checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_closed_form_modules_load_without_numpy():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")])))
-    code = "import sys, ghzgames.core, ghzgames.ghz, ghzgames.game; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    code = "import sys, ghzgames.core, ghzgames.ghz, ghzgames.game, ghzgames.cli; print('numpy' in sys.modules)"
+    proc = _fresh_python(code)
     assert proc.stdout == "False\n", proc.stderr
+
+
+_DIRECTIONS = ("--a=1,0,0", "--b=0,1,0", "--c=0,0,1")
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (("probs", *_DIRECTIONS), False),
+    (("sweep", "{game}", "--rotate", "A", "--steps", "8", "--b=1,0,0", "--c=0,1,0"), False),
+    (("ne", "{game}", "verify", *_DIRECTIONS), False),
+    (("probs", *_DIRECTIONS, "--oracle"), True),
+    (("ne", "{game}", "find", "--seeds", "4"), True),
+], ids=["probs", "sweep", "ne-verify", "probs-oracle", "ne-find"])
+def test_only_oracle_and_search_commands_load_numpy(tmp_path, argv, loads_numpy):
+    game = tmp_path / "pd.json"
+    game.write_text('{"type": "symmetric", "alpha": 7, "beta": 9, "delta": 3, '
+                    '"epsilon": 0, "theta": 5, "omega": 1}', encoding="utf-8")
+    code = ("import sys; from ghzgames import cli; exit_code = cli.main(sys.argv[1:]); "
+            "print('exit', exit_code, 'numpy' in sys.modules)")
+    proc = _fresh_python(code, *(arg.format(game=game) for arg in argv))
+    assert proc.stdout.splitlines()[-1] == f"exit 0 {loads_numpy}", proc.stderr
 
 
 def test_delta_all_x_is_one():
