@@ -6,7 +6,7 @@ byte-reproducible reports (--deterministic), normalize direction inputs
 (--normalize), and switch direction flags to spherical angles (--spherical).
 
 Exit codes are stable: 0 ok, 2 parse error, 3 invalid direction, 4 game-shape
-error, 5 search failure.
+error, 5 search failure, 6 the output could not be written.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ EXIT_PARSE = 2
 EXIT_DIRECTION = 3
 EXIT_GAME_SHAPE = 4
 EXIT_SEARCH = 5
+EXIT_OUTPUT = 6
 
 EQUILIBRIUM_NOTE = (
     "Verdicts are computed directly from the deviation inequalities for the "
@@ -155,10 +156,8 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, An
             if outcome in table:
                 raise CliError(EXIT_PARSE, f"duplicate strategy triple {record['strategies']!r}")
             table[outcome] = payoffs
-        try:
-            general = GeneralGame(table)
-        except ValueError as err:
-            raise CliError(EXIT_PARSE, str(err)) from None
+        # Eight distinct valid outcomes are exactly the canonical eight.
+        general = GeneralGame(table)
         echo = {"type": "general", "entries": entries}
         return general, check_symmetry(general), echo
 
@@ -570,6 +569,11 @@ def app() -> None:
         # Pointing stdout at devnull keeps the interpreter's final flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
+    except OSError as err:
+        # The output could not be written, for instance to a full disk.
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT
     sys.exit(code)
 
 

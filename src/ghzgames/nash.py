@@ -241,18 +241,18 @@ class SearchResult:
     non_converged: tuple[int, ...]
 
 
-def _iterate_best_responses(
-    game: SymmetricGame, start: DirectionProfile
-) -> DirectionProfile | None:
+def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3]) -> list[Vec3] | None:
     """Cyclic A, B, C updates until a sweep moves every player < SWEEP_MOVE_TOL.
 
-    One sweep updates the players in _UPDATES order.  Indifferent players keep
-    their current direction.  Returns None when MAX_SWEEPS pass without
-    convergence.  The updates run on component triples; only the fixed point
-    is built as Directions.
+    ``dirs`` holds the three players' component triples and is updated in
+    place; the fixed point is returned as that list.  One sweep updates the
+    players in _UPDATES order, and indifferent players keep their current
+    direction.  Returns None when MAX_SWEEPS pass without convergence.
+
+    Nothing here builds a Direction (only _respond does, to reject an
+    overflowed norm).  find_ne builds them at the edges: the random starts,
+    each cluster representative and each verify_ne response.
     """
-    gp = gammas(game)
-    dirs = [start.a.components(), start.b.components(), start.c.components()]
     for _ in range(MAX_SWEEPS):
         moved = 0.0
         for own, i, j in _UPDATES:
@@ -261,16 +261,13 @@ def _iterate_best_responses(
                 moved = max(moved, _angle_between(dirs[own], response))
                 dirs[own] = response
         if moved < SWEEP_MOVE_TOL:
-            return DirectionProfile(*(Direction(*d) for d in dirs))
+            return dirs
     return None
 
 
-def _profile_distance(p: DirectionProfile, q: DirectionProfile) -> float:
-    return max(
-        _angle_between(p.a.components(), q.a.components()),
-        _angle_between(p.b.components(), q.b.components()),
-        _angle_between(p.c.components(), q.c.components()),
-    )
+def _profile_distance(p: list[Vec3], q: list[Vec3]) -> float:
+    """The largest angle between two fixed points' directions, over players."""
+    return max(map(_angle_between, p, q))
 
 
 def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
@@ -288,30 +285,29 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     the dedup cost is near-linear in seeds unless many fixed points share
     that cell.
 
-    The dynamics run on plain (a1, a2, a3) float triples.  Directions are
-    built, and validated, only where they leave the library: the random
-    starts, each fixed point and each verify_ne response.
+    The dynamics and the dedup run on plain (a1, a2, a3) float triples.
+    Directions are built, and validated, only at the edges: the random
+    starts, each cluster's representative and each verify_ne response.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds!r}")
     import numpy as np  # here, so that importing nash (and the CLI) does not load numpy
 
     rng = np.random.default_rng(rng_seed)
-    clusters: list[tuple[DirectionProfile, list[int]]] = []
+    gp = gammas(game)
+    clusters: list[tuple[list[Vec3], list[int]]] = []
     # An angle is at least the chord, which is at least |delta a1|, so a
     # cluster within DEDUP_TOL_RAD lies in the same or a neighbouring cell.
     cell = 2.0 * DEDUP_TOL_RAD
     cells: dict[int, list[int]] = {}
     failed: list[int] = []
     for seed_index in range(seeds):
-        start = DirectionProfile(
-            random_direction(rng), random_direction(rng), random_direction(rng)
-        )
-        fixed = _iterate_best_responses(game, start)
+        start = [random_direction(rng).components() for _ in PLAYERS]
+        fixed = _iterate_best_responses(gp, start)
         if fixed is None:
             failed.append(seed_index)
             continue
-        key = math.floor(fixed.a.a1 / cell)
+        key = math.floor(fixed[0][0] / cell)
         nearby = sorted(cells.get(key - 1, []) + cells.get(key, []) + cells.get(key + 1, []))
         for index in nearby:
             known, hits = clusters[index]
@@ -321,11 +317,11 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
         else:
             cells.setdefault(key, []).append(len(clusters))
             clusters.append((fixed, [seed_index]))
-    equilibria = tuple(
-        FoundEquilibrium(profile, verify_ne(game, profile), tuple(hits))
-        for profile, hits in clusters
-    )
-    return SearchResult(equilibria, tuple(failed))
+    equilibria = []
+    for fixed, hits in clusters:
+        profile = DirectionProfile(*(Direction(*d) for d in fixed))
+        equilibria.append(FoundEquilibrium(profile, verify_ne(game, profile), tuple(hits)))
+    return SearchResult(tuple(equilibria), tuple(failed))
 
 
 def case_a_constraints(

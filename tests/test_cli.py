@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -969,3 +970,16 @@ def test_sweep_into_a_pipe_closed_early_exits_0_quietly(pd_file):
         err = proc.stderr.read().decode()
     assert code == 0
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_disk_exits_6_with_one_error_line(pd_file):
+    argv = [sys.executable, "-m", "ghzgames.cli", "sweep", pd_file, "--rotate", "A",
+            "--steps", "5", "--b=1,0,0", "--c=1,0,0"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, env=checkout_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT == 6
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1

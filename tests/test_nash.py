@@ -41,6 +41,11 @@ def _angle(d: Direction, e: Direction) -> float:
     return 2.0 * math.asin(min(1.0, chord / 2.0))
 
 
+def _triples(profile: DirectionProfile | None):
+    """The profile as the search handles it: a list of three component triples."""
+    return None if profile is None else [d.components() for d in (profile.a, profile.b, profile.c)]
+
+
 # gammas ----------------------------------------------------------------------
 
 def test_gammas_pd():
@@ -328,7 +333,7 @@ def _pairwise_clusters(fixed_points):
             failed.append(seed_index)
             continue
         for known, hits in clusters:
-            if nash._profile_distance(known, fixed) < nash.DEDUP_TOL_RAD:
+            if nash._profile_distance(_triples(known), _triples(fixed)) < nash.DEDUP_TOL_RAD:
                 hits.append(seed_index)
                 break
         else:
@@ -343,7 +348,7 @@ def _clusters(result):
 def _find_ne_clusters(monkeypatch, fixed_points):
     """find_ne's clusters when the dynamics return ``fixed_points`` in seed order."""
     replies = iter(fixed_points)
-    monkeypatch.setattr(nash, "_iterate_best_responses", lambda game, start: next(replies))
+    monkeypatch.setattr(nash, "_iterate_best_responses", lambda gp, start: _triples(next(replies)))
     return _clusters(nash.find_ne(PD, len(fixed_points), 0))
 
 
@@ -417,9 +422,9 @@ def test_find_ne_dedup_matches_pairwise_reference_on_real_fixed_points(monkeypat
     recorded = []
     iterate = nash._iterate_best_responses
 
-    def recording(game, start):
-        fixed = iterate(game, start)
-        recorded.append(fixed)
+    def recording(gp, start):
+        fixed = iterate(gp, start)
+        recorded.append(None if fixed is None else DirectionProfile(*(Direction(*d) for d in fixed)))
         return fixed
 
     monkeypatch.setattr(nash, "_iterate_best_responses", recording)
@@ -473,8 +478,9 @@ def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
 
 
 def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
-    # Three random starts and three fixed-point directions per seed, and at
-    # most three verify_ne responses per cluster; the updates build none.
+    # Three random starts per seed, and per cluster three representative
+    # directions and at most three verify_ne responses; the updates and the
+    # dedup build none.
     built = 0
     post_init = Direction.__post_init__
 
@@ -485,15 +491,29 @@ def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
 
     monkeypatch.setattr(Direction, "__post_init__", counting)
     result = nash.find_ne(TWO_POLE, 256, 0)
-    assert built <= 6 * 256 + 3 * len(result.equilibria)
+    assert built <= 3 * 256 + 6 * len(result.equilibria)
+
+
+def test_find_ne_computes_gammas_once_for_all_seeds(monkeypatch):
+    # Once for the dynamics, and once in each cluster's verify_ne.
+    calls = 0
+    gammas = nash.gammas
+
+    def counting(game):
+        nonlocal calls
+        calls += 1
+        return gammas(game)
+
+    monkeypatch.setattr(nash, "gammas", counting)
+    result = nash.find_ne(TWO_POLE, 256, 0)
+    assert calls == 1 + len(result.equilibria)
 
 
 # find_ne against the Direction-based reference dynamics -----------------------
 
-def _reference_iterate(game, start):
+def _reference_iterate(gp, start):
     """Reference dynamics: every update builds and validates a Direction."""
-    gp = nash.gammas(game)
-    dirs = [start.a, start.b, start.c]
+    dirs = [Direction(*d) for d in start]
     for _ in range(nash.MAX_SWEEPS):
         moved = 0.0
         for own, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -509,7 +529,7 @@ def _reference_iterate(game, start):
                 moved = max(moved, _angle(dirs[own], response))
                 dirs[own] = response
         if moved < nash.SWEEP_MOVE_TOL:
-            return DirectionProfile(*dirs)
+            return [d.components() for d in dirs]
     return None
 
 

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["scripts/oracle_crosscheck.py", "--profiles", "20", "--rng-seed", "1"],
     ["scripts/pd_equilibrium_scan.py", "--seeds", "4", "--rng-seed", "1"],
+    ["scripts/code_lines.py"],
 ])
 def test_script_runs(argv):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -22,6 +23,38 @@ def test_script_runs(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+_CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# A comment-only line.
+import math  # a trailing comment
+
+
+class Point:
+    """Class docstring."""
+
+    x: float
+
+    def norm(self):
+        """Function docstring,
+
+        over three lines."""
+        text = """a multi-line
+string that is code"""
+        return math.hypot(self.x, len(text))
+'''
+
+
+def test_code_lines_counts_only_lines_that_carry_code(tmp_path):
+    # import, class, x, def, the two lines of text, return.
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(_CODE_LINES_FIXTURE, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "scripts/code_lines.py", str(fixture)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"     7  {fixture}\n     7  total\n"
 
 
 def _bench_run(path, seed, items_per_s, failed=0):
