@@ -556,8 +556,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _print_error(str(err))
         return err.code
+
+
+def _silence(stream: Any) -> None:
+    """Point a stream at devnull, so the interpreter's final flush of it cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, stream.fileno())
+    finally:
+        os.close(devnull)
+
+
+def _print_error(message: str) -> None:
+    """Write one ``error:`` line to stderr; a stderr that cannot take it drops it quietly."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        _silence(sys.stderr)
 
 
 def app() -> None:
@@ -566,13 +583,12 @@ def app() -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early: that ends the run, not an error.
-        # Pointing stdout at devnull keeps the interpreter's final flush quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence(sys.stdout)
         code = EXIT_OK
     except OSError as err:
         # The output could not be written, for instance to a full disk.
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _print_error(f"cannot write output: {err}")
+        _silence(sys.stdout)
         code = EXIT_OUTPUT
     sys.exit(code)
 

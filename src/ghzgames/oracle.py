@@ -6,6 +6,13 @@ eigenprojectors, and the projective joint measurement.  This module never
 calls into the closed-form evaluation in ``ghz``; it exists to cross-validate
 it.
 
+The eight joint operators P_a ox P_b ox P_c are formed at once: each player's
++1 and -1 projectors are stacked, and two broadcast multiplies build all eight
+8x8 operators, player A's sign slowest.  Each entry is the same complex
+product of the same factors, in the same order, that numpy's Kronecker
+product kron(kron(P_a, P_b), P_c) computes, so the operators equal those
+products bit for bit.  One stacked matmul applies them to the state.
+
 Qubit 1 (player A) is the most significant basis index, so basis state
 |q1 q2 q3> sits at index 4*q1 + 2*q2 + q3.
 """
@@ -25,6 +32,10 @@ IDENTITY = np.eye(2, dtype=complex)
 
 #: Expectation values of Hermitian operators may carry this much imaginary dust.
 IMAG_TOL = 1e-12
+
+#: Each outcome's row among the eight joint operators, in OUTCOMES order: the
+#: operators are stacked with sign +1 before -1 and player A slowest.
+_ROWS = tuple(4 * (o.m < 0) + 2 * (o.l < 0) + (o.k < 0) for o in OUTCOMES)
 
 
 def ghz_state() -> np.ndarray:
@@ -53,22 +64,27 @@ def eigenprojector(observable: np.ndarray, sign: int) -> np.ndarray:
     return (IDENTITY + sign * observable) / 2.0
 
 
+def _kron_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Every Kronecker product p[i] ox q[j] of two stacks of square matrices, i slowest."""
+    (n, d, _), (m, e, _) = p.shape, q.shape
+    return (p[:, None, :, None, :, None] * q[None, :, None, :, None, :]).reshape(n * m, d * e, d * e)
+
+
 def joint_distribution_oracle(profile: DirectionProfile) -> JointDistribution:
     """Outcome probabilities via <psi| P_a ox P_b ox P_c |psi> on the GHZ state."""
     psi = ghz_state()
-    projectors = []
-    for direction in (profile.a, profile.b, profile.c):
-        observable = observable_from_direction(direction)
-        projectors.append({s: eigenprojector(observable, s) for s in (1, -1)})
-    probs = {}
-    for outcome in OUTCOMES:
-        m, l, k = outcome.signs()
-        joint_op = np.kron(np.kron(projectors[0][m], projectors[1][l]), projectors[2][k])
-        amplitude = np.vdot(psi, joint_op @ psi)
+    pa, pb, pc = (
+        np.stack([eigenprojector(obs, 1), eigenprojector(obs, -1)])
+        for obs in map(observable_from_direction, (profile.a, profile.b, profile.c))
+    )
+    images = _kron_stack(_kron_stack(pa, pb), pc) @ psi
+    probs = []
+    for outcome, row in zip(OUTCOMES, _ROWS):
+        amplitude = np.vdot(psi, images[row])
         if abs(amplitude.imag) > IMAG_TOL:
             raise ArithmeticError(
                 f"expectation for outcome {outcome.label()} has imaginary part "
                 f"{amplitude.imag!r}"
             )
-        probs[outcome] = amplitude.real
+        probs.append(amplitude.real)
     return JointDistribution(probs)

@@ -983,3 +983,21 @@ def test_output_to_a_full_disk_exits_6_with_one_error_line(pd_file):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write output: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_error_line_into_a_full_stderr_keeps_exit_3():
+    argv = [sys.executable, "-m", "ghzgames.cli", "probs", "--a=2,0,0", "--b=1,0,0", "--c=1,0,0"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, env=checkout_env(), stdout=subprocess.PIPE, stderr=full,
+                              text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_DIRECTION == 3
+    assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_and_error_line_both_into_full_streams_exit_6():
+    argv = [sys.executable, "-m", "ghzgames.cli", "probs", "--a=1,0,0", "--b=1,0,0", "--c=1,0,0"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, env=checkout_env(), stdout=full, stderr=full, timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT == 6
