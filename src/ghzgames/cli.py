@@ -448,8 +448,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "payoffs": {p: payoffs.for_player(p) for p in PLAYERS},
             }, sort_keys=True))
         else:
-            writer.writerow([_fmt(angle), *map(_fmt, dist.values),
-                             _fmt(payoffs.pi_a), _fmt(payoffs.pi_b), _fmt(payoffs.pi_c)])
+            # csv.writer writes a float as its repr, which is what _fmt gives.
+            writer.writerow([angle, *dist.values, payoffs.pi_a, payoffs.pi_b, payoffs.pi_c])
     return EXIT_OK
 
 

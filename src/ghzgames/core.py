@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,18 +109,36 @@ def make_direction(a1: float, a2: float, a3: float, normalize: bool = False) -> 
     return Direction(a1, a2, a3)
 
 
-def random_direction(rng: np.random.Generator) -> Direction:
-    """A direction drawn uniformly from the sphere: a standard normal 3-vector,
-    normalized, drawn again in the (practically unreachable) near-zero case.
+#: At most this many normal 3-vectors are drawn per numpy call in
+#: random_directions, so its memory stays flat in the count.
+_DRAW_BLOCK = 3 * 1024
 
-    ``math.sqrt(v.dot(v))`` is bit-identical to ``numpy.linalg.norm(v)`` and
-    keeps this module free of a numpy import.
+
+def random_directions(rng: np.random.Generator, count: int) -> Iterator[Direction]:
+    """Yield ``count`` directions drawn uniformly from the sphere.
+
+    Each is a standard normal 3-vector divided by its norm
+    ``math.sqrt(v.dot(v))``, which is bit-identical to
+    ``numpy.linalg.norm(v)`` and keeps this module free of a numpy import; a
+    vector with norm at most 1e-12 (practically unreachable) is skipped for
+    the next one.  The vectors are the rows of ``rng.normal(size=(n, 3))``
+    calls with n at most _DRAW_BLOCK.  Such a call consumes the normal stream
+    as n successive ``rng.normal(size=3)`` calls do, so the directions do not
+    depend on the block size.  Each row is normalized on its own, with Python
+    division, because a vectorized norm may round differently.
     """
-    while True:
-        v = rng.normal(size=3)
-        norm = math.sqrt(v.dot(v))
-        if norm > 1e-12:
-            return Direction(v[0] / norm, v[1] / norm, v[2] / norm)
+    while count > 0:
+        for v in rng.normal(size=(min(count, _DRAW_BLOCK), 3)):
+            norm = math.sqrt(v.dot(v))
+            if norm > 1e-12:
+                count -= 1
+                yield Direction(v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+def random_direction(rng: np.random.Generator) -> Direction:
+    """The first direction random_directions yields: one ``rng.normal(size=3)``
+    draw, normalized, and a new draw in the near-zero case."""
+    return next(random_directions(rng, 1))
 
 
 @dataclass(frozen=True)

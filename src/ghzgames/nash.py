@@ -41,7 +41,7 @@ from .core import (
     SymmetricGame,
     in_plane,
     player_index,
-    random_direction,
+    random_directions,
     require_inplane,
 )
 
@@ -52,6 +52,8 @@ ALIGN_TOL_RAD = 1e-9
 #: Deviations must gain more than this to defeat an equilibrium claim.
 GAIN_TOL = 1e-12
 #: A best-response sweep that moves every player less than this has converged.
+#: It is compared with the chord |d - r| of each move, not the angle: below
+#: 2**-26 the two are equal in floating point, and above it both exceed this.
 SWEEP_MOVE_TOL = 1e-10
 #: Fixed points closer than this (max angle over players) are deduplicated.
 DEDUP_TOL_RAD = 1e-6
@@ -249,6 +251,11 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3]) -> list[Vec3] | Non
     players in _UPDATES order, and indifferent players keep their current
     direction.  Returns None when MAX_SWEEPS pass without convergence.
 
+    A move is measured by its chord ``math.hypot(d - r)``, which gives the
+    same verdict as the angle _angle_between would: 2*asin(chord/2) equals
+    the chord for chords below 2**-26, and is at least the chord above it,
+    where both exceed SWEEP_MOVE_TOL.
+
     Nothing here builds a Direction (only _respond does, to reject an
     overflowed norm).  find_ne builds them at the edges: the random starts,
     each cluster representative and each verify_ne response.
@@ -258,7 +265,10 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3]) -> list[Vec3] | Non
         for own, i, j in _UPDATES:
             response = _respond(gp, dirs[i], dirs[j])[2]
             if response is not None:
-                moved = max(moved, _angle_between(dirs[own], response))
+                d = dirs[own]
+                chord = math.hypot(d[0] - response[0], d[1] - response[1], d[2] - response[2])
+                if chord > moved:
+                    moved = chord
                 dirs[own] = response
         if moved < SWEEP_MOVE_TOL:
             return dirs
@@ -275,6 +285,10 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
 
     Runs ``seeds`` independent starts drawn uniformly from the sphere (the
     generator is seeded with ``rng_seed``, so results are reproducible).
+    The three directions of each start are the next three of
+    random_directions, which draws them in blocks but yields the same
+    directions as successive random_direction calls.  A seed has converged
+    when one sweep moves every player by a chord below SWEEP_MOVE_TOL.
     Each converged fixed point joins the earliest cluster whose
     representative is within DEDUP_TOL_RAD of it for every player, or else
     starts a new cluster.  Clusters are classified with verify_ne and
@@ -301,8 +315,9 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     cell = 2.0 * DEDUP_TOL_RAD
     cells: dict[int, list[int]] = {}
     failed: list[int] = []
+    starts = random_directions(rng, len(PLAYERS) * seeds)
     for seed_index in range(seeds):
-        start = [random_direction(rng).components() for _ in PLAYERS]
+        start = [next(starts).components() for _ in PLAYERS]
         fixed = _iterate_best_responses(gp, start)
         if fixed is None:
             failed.append(seed_index)

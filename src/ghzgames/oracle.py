@@ -84,7 +84,7 @@ def joint_distribution_oracle(profile: DirectionProfile) -> JointDistribution:
         if abs(amplitude.imag) > IMAG_TOL:
             raise ArithmeticError(
                 f"expectation for outcome {outcome.label()} has imaginary part "
-                f"{amplitude.imag!r}"
+                f"{float(amplitude.imag)!r}"
             )
         probs.append(amplitude.real)
     return JointDistribution(probs)

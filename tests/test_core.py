@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghzgames import ghz, nash
+from ghzgames import core, ghz, nash
 from ghzgames.core import (
     OUTCOMES,
     PLAYERS,
@@ -70,6 +70,46 @@ def test_random_direction_normalizes_successive_normal_draws():
         v = reference.normal(size=3)
         norm = float(np.linalg.norm(v))
         assert random_direction(rng) == Direction(v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 3 * 1024])
+@pytest.mark.parametrize("count", [1, 3, 7, 12, 3 * 1024 + 5])
+def test_random_directions_match_successive_random_direction_calls(monkeypatch, block, count):
+    # Blocks of 4 or 5 end inside a seed's three starts.
+    monkeypatch.setattr(core, "_DRAW_BLOCK", block)
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    drawn = list(core.random_directions(rng, count))
+    assert repr(drawn) == repr([random_direction(reference) for _ in range(count)])
+    assert rng.normal() == reference.normal()
+
+
+def test_find_ne_draws_the_same_starts_whatever_the_block(monkeypatch):
+    expected = repr(nash.find_ne(PD, 20, 4))
+    monkeypatch.setattr(core, "_DRAW_BLOCK", 4)
+    assert repr(nash.find_ne(PD, 20, 4)) == expected
+
+
+class _ZeroFirst:
+    """A generator stub whose normal draws start with the zero vector."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+        self.sizes = []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        drawn, self.rows = self.rows[:size[0]], self.rows[size[0]:]
+        return drawn
+
+
+@pytest.mark.parametrize("block", [1, 2, 3 * 1024])
+def test_random_directions_skip_a_zero_vector_to_the_next_row(monkeypatch, block):
+    monkeypatch.setattr(core, "_DRAW_BLOCK", block)
+    rng = _ZeroFirst([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert list(core.random_directions(rng, 2)) == [Direction(0.0, 0.6, 0.8), X_AXIS]
+    assert sum(n for n, _ in rng.sizes) == 3
+    assert all(n <= block for n, _ in rng.sizes)
+    assert random_direction(rng) == Direction(0.0, 0.0, -1.0)
 
 
 def test_outcome_strategy_bijection_round_trips():

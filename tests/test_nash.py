@@ -560,6 +560,39 @@ def test_find_ne_overflow_raises_as_the_reference_does(monkeypatch):
     assert str(raised.value) == str(expected.value)
 
 
+# the convergence test on the chord --------------------------------------------
+
+def _verdicts(d, e):
+    """Whether a move from d to e passes SWEEP_MOVE_TOL by its chord, and by its angle."""
+    chord = math.hypot(d[0] - e[0], d[1] - e[1], d[2] - e[2])
+    return chord < nash.SWEEP_MOVE_TOL, nash._angle_between(d, e) < nash.SWEEP_MOVE_TOL
+
+
+def test_chord_and_angle_agree_next_to_the_sweep_tolerance():
+    # The tolerance itself and its 64 float neighbours on either side.
+    below, above = [nash.SWEEP_MOVE_TOL], [nash.SWEEP_MOVE_TOL]
+    for _ in range(64):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    for chord in below + above:
+        chord_passes, angle_passes = _verdicts((chord, 0.0, 0.0), (0.0, 0.0, 0.0))
+        assert chord_passes == angle_passes, chord
+
+
+def test_chord_and_angle_agree_on_unit_moves_of_log_uniform_size():
+    rng = np.random.default_rng(29)
+    passed = 0
+    for _ in range(20_000):
+        d = random_direction(rng).components()
+        step = 10.0 ** rng.uniform(-13.0, -7.0)
+        moved = [x + step * y for x, y in zip(d, rng.normal(size=3))]
+        norm = math.hypot(*moved)
+        chord_passes, angle_passes = _verdicts(d, [x / norm for x in moved])
+        assert chord_passes == angle_passes
+        passed += chord_passes
+    assert 0 < passed < 20_000
+
+
 @pytest.mark.parametrize("phi", [0.0, 2 * math.pi / 3, 4 * math.pi / 3])
 def test_symmetric_inplane_profiles_are_best_response_fixed_points(phi):
     d = Direction(math.cos(phi), math.sin(phi), 0.0)
