@@ -25,6 +25,7 @@ from . import __version__, game as game_mod, ghz, nash
 from .core import (
     OUTCOMES,
     PLAYERS,
+    SYMMETRIC_CONSTANTS,
     Direction,
     DirectionProfile,
     GeneralGame,
@@ -57,10 +58,10 @@ EQUILIBRIUM_NOTE = (
     "payoffs. This tool always reports what the inequalities yield."
 )
 
-_SYMMETRIC_FIELDS = ("alpha", "beta", "delta", "epsilon", "theta", "omega")
-
 #: nash raises NotUnitError when a game's payoff gradient overflows to inf or nan.
 _OVERFLOW_MESSAGE = "payoff constants are too large for the equilibrium algebra (the payoff gradient overflows)"
+#: game.expected_payoffs raises OverflowError when a payoff expectation leaves the float range.
+_EXPECTATION_OVERFLOW = "payoffs are too large for the payoff expectation (its sum overflows)"
 
 
 class CliError(Exception):
@@ -118,22 +119,22 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, An
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(EXIT_PARSE, f"cannot read game file {path!r}: {err}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, Python's int digit limit, deep nesting
         raise CliError(EXIT_PARSE, f"game file {path!r} is not valid JSON: {err}") from None
     if not isinstance(data, dict) or "type" not in data:
         raise CliError(EXIT_PARSE, f"game file {path!r} must be an object with a 'type' field")
 
     if data["type"] == "symmetric":
         try:
-            constants = {name: float(data[name]) for name in _SYMMETRIC_FIELDS}
-        except (KeyError, TypeError, ValueError):
+            constants = {name: float(data[name]) for name in SYMMETRIC_CONSTANTS}
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise CliError(
                 EXIT_PARSE,
-                f"symmetric game file needs numeric fields {_SYMMETRIC_FIELDS}",
+                f"symmetric game file needs numeric fields {SYMMETRIC_CONSTANTS}",
             ) from None
         try:
             symmetric = SymmetricGame(**constants)
@@ -151,7 +152,7 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, An
             try:
                 outcome = OutcomeTriple.from_strategies(record["strategies"])
                 payoffs = PayoffTriple(*(float(v) for v in record["payoffs"]))
-            except (KeyError, TypeError, ValueError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise CliError(EXIT_PARSE, f"bad game entry {record!r}: {err}") from None
             if outcome in table:
                 raise CliError(EXIT_PARSE, f"duplicate strategy triple {record['strategies']!r}")
@@ -162,16 +163,6 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, An
         return general, check_symmetry(general), echo
 
     raise CliError(EXIT_PARSE, f"unknown game file type {data['type']!r}")
-
-
-def parse_report(text: str) -> dict[str, Any]:
-    """Parse a JSON report emitted by any subcommand (round-trip helper)."""
-    return json.loads(text)
-
-
-def parse_records(text: str) -> list[dict[str, Any]]:
-    """Parse JSON-lines output (one record per line) from the sweep command."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def _emit(args: argparse.Namespace, command: str, inputs: dict[str, Any], results: dict[str, Any],
@@ -265,14 +256,16 @@ def _cmd_payoffs(args: argparse.Namespace) -> int:
             mixed = MixedProfile(x, y, z)
         except ValueError as err:
             raise CliError(EXIT_PARSE, str(err)) from None
-        payoffs = game_mod.classical_payoffs(general, mixed)
         inputs["classical"] = [mixed.x, mixed.y, mixed.z]
-        mode = "classical"
+        mode, payoffs_of, strategy = "classical", game_mod.classical_payoffs, mixed
     else:
         profile = _parse_profile(args)
-        payoffs = game_mod.quantum_payoffs(general, profile)
         inputs.update(_profile_dict(profile))
-        mode = "quantum"
+        mode, payoffs_of, strategy = "quantum", game_mod.quantum_payoffs, profile
+    try:
+        payoffs = payoffs_of(general, strategy)
+    except OverflowError:
+        raise CliError(EXIT_PARSE, _EXPECTATION_OVERFLOW) from None
 
     shown = {p: payoffs.for_player(p) for p in PLAYERS}
     results = {"mode": mode, "payoffs": shown}
@@ -435,28 +428,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.format != "json":  # csv is also the table rendering of a record stream
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["angle", *(f"prob_{label}" for label in labels), "payoff_a", "payoff_b", "payoff_c"])
-    for step in range(args.steps):
-        angle = 2.0 * math.pi * step / args.steps
-        directions[player] = Direction(*build(angle))
-        profile = DirectionProfile(*(directions[p] for p in PLAYERS))
-        dist = ghz.joint_distribution(profile)
-        payoffs = game_mod.expected_payoffs(general, dist)
-        if args.format == "json":
-            print(json.dumps({
-                "angle": angle,
-                "probabilities": dict(zip(labels, dist.values)),
-                "payoffs": {p: payoffs.for_player(p) for p in PLAYERS},
-            }, sort_keys=True))
-        else:
-            # csv.writer writes a float as its repr, which is what _fmt gives.
-            writer.writerow([angle, *dist.values, payoffs.pi_a, payoffs.pi_b, payoffs.pi_c])
+    try:
+        for step in range(args.steps):
+            angle = 2.0 * math.pi * step / args.steps
+            directions[player] = Direction(*build(angle))
+            profile = DirectionProfile(*(directions[p] for p in PLAYERS))
+            dist = ghz.joint_distribution(profile)
+            payoffs = game_mod.expected_payoffs(general, dist)
+            if args.format == "json":
+                print(json.dumps({
+                    "angle": angle,
+                    "probabilities": dict(zip(labels, dist.values)),
+                    "payoffs": {p: payoffs.for_player(p) for p in PLAYERS},
+                }, sort_keys=True))
+            else:
+                # csv.writer writes a float as its repr, which is what _fmt gives.
+                writer.writerow([angle, *dist.values, payoffs.pi_a, payoffs.pi_b, payoffs.pi_c])
+    except OverflowError:  # records already printed stay printed
+        raise CliError(EXIT_PARSE, _EXPECTATION_OVERFLOW) from None
     return EXIT_OK
 
 
 def _cmd_check_game(args: argparse.Namespace) -> int:
     _, report_obj, echo = load_game_file(args.game_file)
     symmetric = report_obj.game
-    constants = None if symmetric is None else {name: getattr(symmetric, name) for name in _SYMMETRIC_FIELDS}
+    constants = None if symmetric is None else dict(zip(SYMMETRIC_CONSTANTS, symmetric.constants()))
     results: dict[str, Any] = {
         "type": echo["type"],
         "symmetric": report_obj.symmetric,

@@ -39,7 +39,6 @@ DIST_SUM_TOL = 1e-12
 EXACT_TOL = 1e-12
 
 PLAYERS = ("A", "B", "C")
-PAIRS = ("AB", "AC", "BC")
 
 
 def player_index(player: str) -> int:
@@ -192,10 +191,6 @@ class OutcomeTriple:
         """Compact form like '+-+' in player order A, B, C."""
         return "".join("+" if s > 0 else "-" for s in self.signs())
 
-    def strategies(self) -> tuple[str, str, str]:
-        """Pure-strategy labels ('S1' or 'S2') for each player."""
-        return tuple("S1" if s > 0 else "S2" for s in self.signs())
-
     @classmethod
     def from_strategies(cls, strategies: Sequence[str]) -> "OutcomeTriple":
         if len(strategies) != 3:
@@ -209,12 +204,6 @@ class OutcomeTriple:
             else:
                 raise ValueError(f"strategy label must be 'S1' or 'S2', got {label!r}")
         return cls(*signs)
-
-    @classmethod
-    def from_label(cls, label: str) -> "OutcomeTriple":
-        if len(label) != 3 or any(ch not in "+-" for ch in label):
-            raise ValueError(f"outcome label must be three of '+'/'-', got {label!r}")
-        return cls(*(1 if ch == "+" else -1 for ch in label))
 
 
 #: The eight outcome triples in the canonical payoff-table row order.
@@ -283,6 +272,10 @@ class GeneralGame:
         return self.entries[outcome]
 
 
+#: The six payoff constants of a symmetric game, in SymmetricGame field order.
+SYMMETRIC_CONSTANTS = ("alpha", "beta", "delta", "epsilon", "theta", "omega")
+
+
 @dataclass(frozen=True)
 class SymmetricGame:
     """A symmetric 2x2x2 game, fully described by six payoff constants.
@@ -301,7 +294,7 @@ class SymmetricGame:
     omega: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "delta", "epsilon", "theta", "omega"):
+        for name in SYMMETRIC_CONSTANTS:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"payoff constant {name} must be finite, got {value!r}")
@@ -359,12 +352,11 @@ def check_symmetry(game: GeneralGame) -> SymmetryReport:
     All 18 defining equalities must hold within EXACT_TOL; on success the six
     constants are read off rows 1, 2, 3, 5, 6, and 8.
     """
-    values: dict[str, float] = {}
-    for i, outcome in enumerate(OUTCOMES, start=1):
-        payoffs = game.payoff(outcome)
-        values[f"a{i}"] = payoffs.pi_a
-        values[f"b{i}"] = payoffs.pi_b
-        values[f"c{i}"] = payoffs.pi_c
+    values = {
+        f"{player}{i}": payoff
+        for player, column in zip("abc", game.columns)
+        for i, payoff in enumerate(column, start=1)
+    }
     violations = tuple(
         f"{lhs} = {rhs}"
         for lhs, rhs in _SYMMETRY_CONDITIONS
@@ -372,10 +364,7 @@ def check_symmetry(game: GeneralGame) -> SymmetryReport:
     )
     if violations:
         return SymmetryReport(False, None, violations)
-    recovered = SymmetricGame(
-        alpha=values["a1"], beta=values["a2"], delta=values["a3"],
-        epsilon=values["a5"], theta=values["a6"], omega=values["a8"],
-    )
+    recovered = SymmetricGame(*(values[f"a{i}"] for i in (1, 2, 3, 5, 6, 8)))
     return SymmetryReport(True, recovered, ())
 
 
@@ -444,9 +433,6 @@ class JointDistribution:
     def items(self):
         """(outcome, probability) pairs in canonical order."""
         return list(zip(OUTCOMES, self._values))
-
-    def as_dict(self) -> dict[OutcomeTriple, float]:
-        return dict(zip(OUTCOMES, self._values))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{o.label()}: {p!r}" for o, p in zip(OUTCOMES, self._values))

@@ -25,8 +25,6 @@ import math
 
 from .core import (
     OUTCOMES,
-    PAIRS,
-    PLAYERS,
     DirectionProfile,
     JointDistribution,
     OutcomeTriple,
@@ -90,23 +88,3 @@ def marginal_single(profile: DirectionProfile, player: str) -> tuple[float, floa
     minus = math.fsum(p for p, signs in zip(values, _SIGNS) if signs[index] == -1)
     return (plus, minus)
 
-
-def marginal_pair(profile: DirectionProfile, pair: str) -> dict[tuple[int, int], float]:
-    """Joint outcome probabilities for a pair of players, summed over the third.
-
-    For pair AB the closed form is Pr(m, l) = (1 + m*l*a3*b3) / 4, and
-    analogously with the other third-component products for AC and BC.
-    """
-    if pair not in PAIRS:
-        raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
-    first, second = PLAYERS.index(pair[0]), PLAYERS.index(pair[1])
-    values = joint_distribution(profile).values
-    out: dict[tuple[int, int], float] = {}
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            out[(s1, s2)] = math.fsum(
-                p
-                for p, signs in zip(values, _SIGNS)
-                if signs[first] == s1 and signs[second] == s2
-            )
-    return out

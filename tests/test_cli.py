@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ghzgames import cli, ghz, nash
-from ghzgames.core import SymmetricGame
+from ghzgames.core import SYMMETRIC_CONSTANTS, SymmetricGame
 from support import PD_GENERAL_ENTRIES, checkout_env
 
 PD_FILE_CONTENT = {
@@ -49,7 +49,7 @@ def test_probs_computational_basis(capsys):
     code, out, _ = run_cli(capsys, ["probs", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["probabilities"]["+++"] == 0.5
     assert report["results"]["probabilities"]["---"] == 0.5
     assert report["results"]["probabilities"]["++-"] == 0.0
@@ -59,7 +59,7 @@ def test_probs_oracle_discrepancy_is_tiny(capsys):
     code, out, _ = run_cli(capsys, ["probs", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0",
                                     "--oracle", "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["max_abs_discrepancy"] <= 1e-12
 
 
@@ -110,7 +110,7 @@ def test_probs_normalize_accepts_scaled_input(capsys):
     code, out, _ = run_cli(capsys, ["probs", "--a", "2,2,0", "--b", "0,0,1", "--c", "0,0,1",
                                     "--normalize", "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     a = report["inputs"]["a"]
     assert a[0] == pytest.approx(2 ** -0.5)
 
@@ -122,7 +122,7 @@ def test_probs_spherical_input(capsys):
                                     "--c", f"{math.pi / 2},0", "--spherical",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["probabilities"]["+++"] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_payoffs_quantum_all_z(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["payoffs", pd_file, "--a", "0,0,1", "--b", "0,0,1",
                                     "--c", "0,0,1", "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["payoffs"] == {"A": 4.0, "B": 4.0, "C": 4.0}
 
 
@@ -149,7 +149,7 @@ def test_payoffs_quantum_all_x(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["payoffs", pd_file, "--a", "1,0,0", "--b", "1,0,0",
                                     "--c", "1,0,0", "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["payoffs"]["A"] == pytest.approx(4.25, abs=1e-15)
 
 
@@ -157,7 +157,7 @@ def test_payoffs_classical_uniform(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["payoffs", pd_file, "--classical", "0.5,0.5,0.5",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["payoffs"]["A"] == pytest.approx(4.125, abs=1e-15)
 
 
@@ -186,8 +186,8 @@ def test_payoffs_general_file_matches_symmetric(capsys, pd_file, general_pd_file
     args = ["--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0", "--format", "json", "--deterministic"]
     _, out_sym, _ = run_cli(capsys, ["payoffs", pd_file, *args])
     _, out_gen, _ = run_cli(capsys, ["payoffs", general_pd_file, *args])
-    sym = cli.parse_report(out_sym)["results"]
-    gen = cli.parse_report(out_gen)["results"]
+    sym = json.loads(out_sym)["results"]
+    gen = json.loads(out_gen)["results"]
     assert sym["payoffs"] == gen["payoffs"]
 
 
@@ -197,7 +197,7 @@ def test_factorize_consistent(capsys):
     code, out, _ = run_cli(capsys, ["factorize", "--a", "0,0,1", "--b", "1,0,0", "--c", "1,0,0",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["consistent"] is True
     assert report["results"]["solution"] == [0.5, 0.5, 0.5]
 
@@ -206,7 +206,7 @@ def test_factorize_all_z_names_equations(capsys):
     code, out, _ = run_cli(capsys, ["factorize", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["consistent"] is False
     assert report["results"]["solution"] is None
     violated = {eq for eq, _ in report["results"]["violated_equations"]}
@@ -217,7 +217,7 @@ def test_factorize_all_x_inconsistent(capsys):
     code, out, _ = run_cli(capsys, ["factorize", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    assert cli.parse_report(out)["results"]["consistent"] is False
+    assert json.loads(out)["results"]["consistent"] is False
 
 
 # ne --------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_ne_verify_all_x_strict(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["ne", pd_file, "verify", "--a", "1,0,0", "--b", "1,0,0",
                                     "--c", "1,0,0", "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["report"]["verdict"] == "strict"
     assert report["results"]["note"] == cli.EQUILIBRIUM_NOTE
 
@@ -235,7 +235,7 @@ def test_ne_verify_all_z_witness(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["ne", pd_file, "verify", "--a", "0,0,1", "--b", "0,0,1",
                                     "--c", "0,0,1", "--format", "json", "--deterministic"])
     assert code == 0
-    witness = cli.parse_report(out)["results"]["report"]["witness"]
+    witness = json.loads(out)["results"]["report"]["witness"]
     assert witness["player"] == "A"
     assert witness["direction"][2] == -1.0
     assert witness["gain"] == pytest.approx(0.5, abs=1e-15)
@@ -253,7 +253,7 @@ def test_ne_check_pd_flag(capsys, pd_file):
                                     "--c", "1,0,0", "--check-pd", "--format", "json",
                                     "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["results"]["pd_check"] == {"passed": True, "violated": []}
 
 
@@ -262,7 +262,7 @@ def test_ne_general_symmetric_file_accepted(capsys, general_pd_file):
                                     "--b", "1,0,0", "--c", "1,0,0", "--format", "json",
                                     "--deterministic"])
     assert code == 0
-    assert cli.parse_report(out)["results"]["report"]["verdict"] == "strict"
+    assert json.loads(out)["results"]["report"]["verdict"] == "strict"
 
 
 def test_ne_asymmetric_game_exits_4(capsys, asymmetric_file):
@@ -276,7 +276,7 @@ def test_ne_find_reports_seeds_and_verdicts(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["ne", pd_file, "find", "--seeds", "8", "--rng-seed", "3",
                                     "--format", "json", "--deterministic"])
     assert code == 0
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["rng_seed"] == 3
     equilibria = report["results"]["equilibria"]
     assert equilibria
@@ -338,6 +338,36 @@ def test_ne_on_overflowing_constants_exits_2(capsys, tmp_path, subaction, fmt):
     assert "Traceback" not in err
 
 
+#: The largest float for all six constants: any expectation whose weights
+#: round to a sum above 1 overflows.
+MAX_FILE_CONTENT = {"type": "symmetric", **dict.fromkeys(SYMMETRIC_CONSTANTS, sys.float_info.max)}
+
+
+@pytest.mark.parametrize("strategy", [
+    ["--classical", "0.7344308588405618,0.027252094951458417,0.6644037016958879"],
+    ["--a=-0.4999999999999998,0.8660254037844387,0", "--b", "1,0,0", "--c", "0,1,0"],
+], ids=["classical", "quantum"])
+def test_payoffs_whose_expectation_overflows_exit_2(capsys, tmp_path, strategy):
+    path = tmp_path / "max.json"
+    path.write_text(json.dumps(MAX_FILE_CONTENT), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["payoffs", str(path), *strategy])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cli._EXPECTATION_OVERFLOW}\n"
+
+
+@pytest.mark.parametrize("fmt, written", [("json", 1), ("csv", 2), ("table", 2)])
+def test_sweep_stops_at_the_first_overflowing_expectation_with_exit_2(capsys, tmp_path, fmt, written):
+    # Step 0 (A along x) is exact; step 1 (A at 120 degrees) overflows.
+    path = tmp_path / "max.json"
+    path.write_text(json.dumps(MAX_FILE_CONTENT), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["sweep", str(path), "--rotate", "A", "--steps", "3",
+                                      "--b", "1,0,0", "--c", "0,1,0", "--format", fmt])
+    assert code == 2
+    assert err == f"error: {cli._EXPECTATION_OVERFLOW}\n"
+    lines = out.splitlines()
+    assert len(lines) == written and lines[-1].startswith(("{\"angle\": 0.0", "0.0,"))
+
+
 def test_ne_find_table_lists_non_converged_seeds(capsys, tmp_path, monkeypatch):
     # Six sweeps are too few for some starts on the two-pole game, so the
     # search gives up on them (two clusters, six seeds left over).
@@ -360,7 +390,7 @@ def test_sweep_emits_one_record_per_step(capsys, pd_file):
                                     "--steps", "4", "--b", "1,0,0", "--c", "1,0,0",
                                     "--format", "json"])
     assert code == 0
-    records = cli.parse_records(out)
+    records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 4
 
 
@@ -369,7 +399,7 @@ def test_sweep_payoff_values_at_key_angles(capsys, pd_file):
                                     "--steps", "4", "--b", "1,0,0", "--c", "1,0,0",
                                     "--format", "json"])
     assert code == 0
-    records = cli.parse_records(out)
+    records = [json.loads(line) for line in out.splitlines()]
     assert records[0]["angle"] == 0.0
     assert records[0]["payoffs"]["A"] == pytest.approx(4.25, abs=1e-12)
     assert records[2]["payoffs"]["A"] == pytest.approx(4.0, abs=1e-12)
@@ -428,7 +458,7 @@ def test_sweep_zero_steps_exits_2(capsys, pd_file):
 def test_check_game_symmetric_file(capsys, pd_file):
     code, out, _ = run_cli(capsys, ["check-game", pd_file, "--format", "json", "--deterministic"])
     assert code == 0
-    results = cli.parse_report(out)["results"]
+    results = json.loads(out)["results"]
     assert results["symmetric"] is True
     assert results["constants"]["alpha"] == 7.0
 
@@ -437,7 +467,7 @@ def test_check_game_recovers_constants_from_general_file(capsys, general_pd_file
     code, out, _ = run_cli(capsys, ["check-game", general_pd_file, "--format", "json",
                                     "--deterministic"])
     assert code == 0
-    results = cli.parse_report(out)["results"]
+    results = json.loads(out)["results"]
     assert results["symmetric"] is True
     assert results["constants"] == {
         "alpha": 7.0, "beta": 9.0, "delta": 3.0, "epsilon": 0.0, "theta": 5.0, "omega": 1.0,
@@ -448,7 +478,7 @@ def test_check_game_lists_violations(capsys, asymmetric_file):
     code, out, _ = run_cli(capsys, ["check-game", asymmetric_file, "--format", "json",
                                     "--deterministic"])
     assert code == 0
-    results = cli.parse_report(out)["results"]
+    results = json.loads(out)["results"]
     assert results["symmetric"] is False
     assert results["violations"]
 
@@ -494,6 +524,32 @@ def test_check_game_malformed_file_exits_2(capsys, tmp_path, content, message):
     assert err.startswith("error: ") and message in err
 
 
+_HUGE_INT = "1" + "0" * 400  # beyond the float range
+_PD_TEXT = json.dumps(PD_FILE_CONTENT)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff" + _PD_TEXT.encode(), "cannot read game file"),
+    (_PD_TEXT.replace('"alpha": 7', f'"alpha": {_HUGE_INT}'), "symmetric game file needs numeric fields"),
+    (json.dumps({"type": "general", "entries": PD_GENERAL_ENTRIES}).replace("[7, 7, 7]", f"[{_HUGE_INT}, 7, 7]"),
+     "int too large to convert to float"),
+    # More digits than Python's default limit for converting a str to an int.
+    (_PD_TEXT.replace('"alpha": 7', '"alpha": ' + "1" * 5000), "game file"),
+    ("[" * 100_000, "is not valid JSON"),
+], ids=["not-utf8", "huge-constant", "huge-payoff", "too-many-digits", "deep-nesting"])
+@pytest.mark.parametrize("argv", [
+    ["check-game"],
+    ["payoffs", "--classical", "0.5,0.5,0.5"],
+    ["ne", "verify", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"],
+], ids=["check-game", "payoffs", "ne-verify"])
+def test_game_file_that_fails_to_load_exits_2_with_one_error_line(capsys, tmp_path, content, message, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, out, err = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 # report envelope -------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -503,7 +559,7 @@ def test_check_game_malformed_file_exits_2(capsys, tmp_path, content, message):
 def test_json_reports_round_trip(capsys, argv):
     code, out, _ = run_cli(capsys, [*argv, "--format", "json", "--deterministic"])
     assert code == 0
-    parsed = cli.parse_report(out)
+    parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) == out.rstrip("\n")
 
 
@@ -517,7 +573,7 @@ def test_json_report_round_trip_with_game_file(capsys, pd_file, argv_tail):
     argv = [argv_tail[0], pd_file, *argv_tail[1:], "--format", "json", "--deterministic"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    parsed = cli.parse_report(out)
+    parsed = json.loads(out)
     assert json.dumps(parsed, indent=2, sort_keys=True) == out.rstrip("\n")
 
 
@@ -526,7 +582,7 @@ def test_sweep_json_lines_round_trip(capsys, pd_file):
             "--b", "1,0,0", "--c", "0,1,0", "--format", "json"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    records = cli.parse_records(out)
+    records = [json.loads(line) for line in out.splitlines()]
     rebuilt = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     assert rebuilt == out
 
@@ -534,9 +590,9 @@ def test_sweep_json_lines_round_trip(capsys, pd_file):
 def test_timestamp_suppressed_only_under_deterministic(capsys):
     argv = ["probs", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1", "--format", "json"]
     _, out, _ = run_cli(capsys, argv)
-    assert "timestamp" in cli.parse_report(out)
+    assert "timestamp" in json.loads(out)
     _, out, _ = run_cli(capsys, [*argv, "--deterministic"])
-    assert "timestamp" not in cli.parse_report(out)
+    assert "timestamp" not in json.loads(out)
 
 
 def test_version_flag(capsys):
@@ -548,7 +604,7 @@ def test_version_flag(capsys):
 def test_report_envelope_fields(capsys):
     _, out, _ = run_cli(capsys, ["probs", "--a", "0,0,1", "--b", "0,0,1", "--c", "0,0,1",
                                  "--format", "json", "--deterministic"])
-    report = cli.parse_report(out)
+    report = json.loads(out)
     assert report["command"] == "probs"
     assert "inputs" in report and "results" in report and "tool_version" in report
 

@@ -112,10 +112,20 @@ def test_random_directions_skip_a_zero_vector_to_the_next_row(monkeypatch, block
     assert random_direction(rng) == Direction(0.0, 0.0, -1.0)
 
 
+def _strategies(outcome):
+    """The pure-strategy labels of an outcome: 'S1' for +1, 'S2' for -1."""
+    return tuple("S1" if s > 0 else "S2" for s in outcome.signs())
+
+
+def _from_label(label):
+    """The outcome a label such as '+-+' names."""
+    return OutcomeTriple(*(1 if ch == "+" else -1 for ch in label))
+
+
 def test_outcome_strategy_bijection_round_trips():
     for outcome in OUTCOMES:
-        assert OutcomeTriple.from_strategies(outcome.strategies()) == outcome
-        assert OutcomeTriple.from_label(outcome.label()) == outcome
+        assert OutcomeTriple.from_strategies(_strategies(outcome)) == outcome
+        assert _from_label(outcome.label()) == outcome
 
 
 def test_outcome_rejects_bad_signs():
@@ -126,7 +136,8 @@ def test_outcome_rejects_bad_signs():
 
 
 def test_outcome_convention_plus_is_first_strategy():
-    assert OutcomeTriple(1, -1, 1).strategies() == ("S1", "S2", "S1")
+    assert OutcomeTriple.from_strategies(("S1", "S2", "S1")) == OutcomeTriple(1, -1, 1)
+    assert OutcomeTriple(1, -1, 1).label() == "+-+"
 
 
 def test_symmetric_to_general_pd_all_cooperate_row():
@@ -225,7 +236,7 @@ def test_joint_distribution_every_read_returns_the_stored_value(dust, stored):
     probs[OUTCOMES[0]] = dust
     probs[OUTCOMES[1]] = 0.25 - dust
     dist = JointDistribution(probs)
-    reads = [dist[OUTCOMES[0]], dist.items()[0][1], dist.as_dict()[OUTCOMES[0]]]
+    reads = [dist[OUTCOMES[0]], dist.items()[0][1], dist.values[0]]
     assert all(r == stored and math.copysign(1.0, r) == math.copysign(1.0, stored) for r in reads)
     assert repr(dist).startswith(f"JointDistribution({{+++: {stored!r}, -++: ")
 

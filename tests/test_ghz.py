@@ -10,7 +10,6 @@ from hypothesis import given
 from ghzgames import ghz, oracle
 from ghzgames.core import (
     OUTCOMES,
-    PAIRS,
     PLAYERS,
     Direction,
     DirectionProfile,
@@ -196,8 +195,22 @@ def test_marginal_single_rejects_unknown_player():
         ghz.marginal_single(ALL_Z, "D")
 
 
+def marginal_pair(profile, pair):
+    """Pr(s1, s2) for the two players named in ``pair``, summed over the third
+    player's outcome from the joint distribution."""
+    first, second = PLAYERS.index(pair[0]), PLAYERS.index(pair[1])
+    values = ghz.joint_distribution(profile).values
+    return {
+        (s1, s2): math.fsum(
+            p for p, o in zip(values, OUTCOMES) if o.signs()[first] == s1 and o.signs()[second] == s2
+        )
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    }
+
+
 def test_marginal_pair_all_z():
-    pairs = ghz.marginal_pair(ALL_Z, "AB")
+    pairs = marginal_pair(ALL_Z, "AB")
     assert pairs[(1, 1)] == 0.5
     assert pairs[(-1, -1)] == 0.5
     assert pairs[(1, -1)] == 0.0
@@ -205,14 +218,14 @@ def test_marginal_pair_all_z():
 
 
 def test_marginal_pair_all_x_uniform():
-    pairs = ghz.marginal_pair(ALL_X, "AB")
+    pairs = marginal_pair(ALL_X, "AB")
     for value in pairs.values():
         assert abs(value - 0.25) <= 1e-12
 
 
 def test_marginal_pair_anticorrelated_z():
     profile = DirectionProfile(Z_AXIS, X_AXIS, Direction(0, 0, -1))
-    pairs = ghz.marginal_pair(profile, "AC")
+    pairs = marginal_pair(profile, "AC")
     assert abs(pairs[(1, -1)] - 0.5) <= 1e-12
     assert abs(pairs[(-1, 1)] - 0.5) <= 1e-12
     assert abs(pairs[(1, 1)]) <= 1e-12
@@ -226,8 +239,8 @@ def test_marginal_pair_closed_forms_random_profiles():
              "BC": lambda p: p.b.a3 * p.c.a3}
     for _ in range(50):
         profile = random_profile(rng)
-        for pair in PAIRS:
+        for pair in third:
             product = third[pair](profile)
-            values = ghz.marginal_pair(profile, pair)
+            values = marginal_pair(profile, pair)
             for (s1, s2), value in values.items():
                 assert abs(value - (1.0 + s1 * s2 * product) / 4.0) <= 1e-12

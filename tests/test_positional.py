@@ -1,21 +1,32 @@
 """The positional path (8-tuples in OUTCOMES order) equals the mapping path, bit for bit.
 
 JointDistribution stores its values as a tuple in OUTCOMES order, the closed
-form fills it in one pass, and expected_payoffs reads it against per-player
-columns of the table.  These properties compare each of those with the
-per-outcome mapping form it replaced.
+form fills it in one pass, and expected_payoffs and check_symmetry read the
+per-player columns of the table.  These properties compare each of those with
+the per-outcome mapping form it replaced.
 """
 
 import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzgames import game, ghz
-from ghzgames.core import OUTCOMES, PLAYERS, GeneralGame, JointDistribution, PayoffTriple
-from support import direction_profiles, finite_payoffs
+from ghzgames import core, game, ghz
+from ghzgames.core import (
+    EXACT_TOL,
+    OUTCOMES,
+    PLAYERS,
+    GeneralGame,
+    JointDistribution,
+    PayoffTriple,
+    SymmetricGame,
+    SymmetryReport,
+    check_symmetry,
+    symmetric_to_general,
+)
+from support import direction_profiles, finite_payoffs, symmetric_games
 
 
 def _same_float(x: float, y: float) -> bool:
@@ -88,7 +99,7 @@ _tables = st.lists(st.tuples(finite_payoffs, finite_payoffs, finite_payoffs), mi
 @given(_tables, direction_profiles)
 def test_expected_payoffs_positional_equals_mapping(table, profile):
     dist = ghz.joint_distribution(profile)
-    by_mapping = game.expected_payoffs(table, dist.as_dict())
+    by_mapping = game.expected_payoffs(table, dict(dist.items()))
     assert repr(game.expected_payoffs(table, dist)) == repr(by_mapping)
     # The per-outcome form the columns replaced.
     reference = PayoffTriple(*(
@@ -117,3 +128,73 @@ def test_general_game_columns_leave_repr_and_equality_alone(table):
 def test_wrong_length_names_the_outcome_set(probs):
     with pytest.raises(ValueError, match="exactly the 8 canonical outcomes"):
         JointDistribution(probs)
+
+
+def _check_symmetry_by_payoff(table: GeneralGame) -> SymmetryReport:
+    """check_symmetry as it read the table before columns: 24 payoff() reads."""
+    values: dict[str, float] = {}
+    for i, outcome in enumerate(OUTCOMES, start=1):
+        payoffs = table.payoff(outcome)
+        values[f"a{i}"] = payoffs.pi_a
+        values[f"b{i}"] = payoffs.pi_b
+        values[f"c{i}"] = payoffs.pi_c
+    violations = tuple(
+        f"{lhs} = {rhs}"
+        for lhs, rhs in core._SYMMETRY_CONDITIONS
+        if abs(values[lhs] - values[rhs]) > EXACT_TOL
+    )
+    if violations:
+        return SymmetryReport(False, None, violations)
+    recovered = SymmetricGame(
+        alpha=values["a1"], beta=values["a2"], delta=values["a3"],
+        epsilon=values["a5"], theta=values["a6"], omega=values["a8"],
+    )
+    return SymmetryReport(True, recovered, ())
+
+
+def _position(name: str) -> tuple[int, int]:
+    """The column and row of a row payoff such as 'b3' in GeneralGame.columns."""
+    return "abc".index(name[0]), int(name[1:]) - 1
+
+
+def _moved(table: GeneralGame, name: str, value: float) -> GeneralGame:
+    """The table with row payoff ``name`` set to ``value``."""
+    columns = [list(column) for column in table.columns]
+    player, row = _position(name)
+    columns[player][row] = value
+    return GeneralGame(dict(zip(OUTCOMES, map(PayoffTriple, *columns))))
+
+
+#: EXACT_TOL and its float neighbours, with both signs.
+_TOL_OFFSETS = tuple(
+    sign * t
+    for t in (math.nextafter(EXACT_TOL, 0.0), EXACT_TOL, math.nextafter(EXACT_TOL, 1.0))
+    for sign in (1.0, -1.0)
+)
+
+
+@st.composite
+def _near_tolerance_tables(draw):
+    """A symmetric table with one payoff moved to EXACT_TOL, or a neighbour of
+    it, away from its partner in one of the symmetry equalities."""
+    table = symmetric_to_general(draw(st.one_of(st.just(SymmetricGame(0, 0, 0, 0, 0, 0)), symmetric_games)))
+    lhs, rhs = draw(st.sampled_from(core._SYMMETRY_CONDITIONS))
+    player, row = _position(rhs)
+    partner = table.columns[player][row]
+    return _moved(table, lhs, partner + draw(st.sampled_from(_TOL_OFFSETS)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(_tables, symmetric_games.map(symmetric_to_general), _near_tolerance_tables()))
+def test_check_symmetry_equals_the_payoff_keyed_reference(table):
+    assert repr(check_symmetry(table)) == repr(_check_symmetry_by_payoff(table))
+
+
+@pytest.mark.parametrize("offset, symmetric", [
+    (EXACT_TOL, True), (-EXACT_TOL, True), (math.nextafter(EXACT_TOL, 1.0), False),
+])
+def test_check_symmetry_tolerance_includes_its_bound(offset, symmetric):
+    table = _moved(symmetric_to_general(SymmetricGame(0, 0, 0, 0, 0, 0)), "c4", offset)
+    report = check_symmetry(table)
+    assert report.symmetric is symmetric
+    assert report.violations == (() if symmetric else ("c4 = a2",))
