@@ -129,13 +129,17 @@ def load_game_file(path: str) -> tuple[GeneralGame, SymmetryReport, dict[str, An
         raise CliError(EXIT_PARSE, f"game file {path!r} must be an object with a 'type' field")
 
     if data["type"] == "symmetric":
-        try:
-            constants = {name: float(data[name]) for name in SYMMETRIC_CONSTANTS}
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise CliError(
-                EXIT_PARSE,
-                f"symmetric game file needs numeric fields {SYMMETRIC_CONSTANTS}",
-            ) from None
+        constants = {}
+        for name in SYMMETRIC_CONSTANTS:
+            try:
+                constants[name] = float(data[name])
+            except OverflowError as err:  # an integer beyond the float range
+                raise CliError(EXIT_PARSE, f"symmetric game field {name!r}: {err}") from None
+            except (KeyError, TypeError, ValueError):
+                raise CliError(
+                    EXIT_PARSE,
+                    f"symmetric game file needs numeric fields {SYMMETRIC_CONSTANTS}",
+                ) from None
         try:
             symmetric = SymmetricGame(**constants)
         except ValueError as err:
@@ -434,7 +438,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             directions[player] = Direction(*build(angle))
             profile = DirectionProfile(*(directions[p] for p in PLAYERS))
             dist = ghz.joint_distribution(profile)
-            payoffs = game_mod.expected_payoffs(general, dist)
+            payoffs = game_mod.expected_payoffs(general, dist.values)
             if args.format == "json":
                 print(json.dumps({
                     "angle": angle,

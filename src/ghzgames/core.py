@@ -388,24 +388,20 @@ class JointDistribution:
     """Probabilities over the eight outcome triples, stored as an 8-tuple in
     OUTCOMES order (``values``).
 
-    Built from a mapping over the eight outcomes or from an 8-sequence in
-    OUTCOMES order.  Construction checks that exactly the canonical eight
-    outcomes are present, that no entry is non-finite or below
+    Built from an 8-sequence in OUTCOMES order.  Construction checks that
+    there are exactly eight entries, that no entry is non-finite or below
     -PROB_CLAMP_TOL (the first offending entry in OUTCOMES order is named),
     and that the entries sum to 1 within DIST_SUM_TOL.  Rounding dust in
     [-PROB_CLAMP_TOL, 0) is stored, and so read, as exactly 0; the sum is
-    checked on the values as given.
+    checked on the values as given.  A distribution is not iterable: payoff
+    weights are its ``values``, and ``dist[outcome]`` reads one entry.
     """
 
     __slots__ = ("_values",)
+    __iter__ = None
 
-    def __init__(self, probs: Mapping[OutcomeTriple, float] | Sequence[float]):
-        if hasattr(probs, "keys"):
-            items = dict(probs)
-            if items.keys() != OUTCOME_INDEX.keys():
-                raise ValueError("a joint distribution needs exactly the 8 canonical outcomes")
-            probs = [items[o] for o in OUTCOMES]
-        elif len(probs) != len(OUTCOMES):
+    def __init__(self, probs: Sequence[float]):
+        if len(probs) != len(OUTCOMES):
             raise ValueError("a joint distribution needs exactly the 8 canonical outcomes")
         given = values = tuple(map(float, probs))
         # The sum is finite only if every entry is; then nothing to reject or clamp.
@@ -423,16 +419,6 @@ class JointDistribution:
 
     def __getitem__(self, outcome: OutcomeTriple) -> float:
         return self._values[OUTCOME_INDEX[outcome]]
-
-    def __iter__(self):
-        return iter(OUTCOMES)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def items(self):
-        """(outcome, probability) pairs in canonical order."""
-        return list(zip(OUTCOMES, self._values))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{o.label()}: {p!r}" for o, p in zip(OUTCOMES, self._values))

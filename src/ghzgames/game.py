@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import ghz
 from .core import (
@@ -22,7 +22,6 @@ from .core import (
     PLAYERS,
     DirectionProfile,
     GeneralGame,
-    JointDistribution,
     MixedProfile,
     OutcomeTriple,
     PayoffTriple,
@@ -57,29 +56,24 @@ def product_weight(outcome: OutcomeTriple, mixed: MixedProfile) -> float:
     return wa * wb * wc
 
 
-def expected_payoffs(table: GeneralGame, weights: Mapping[OutcomeTriple, float]) -> PayoffTriple:
-    """Each player's payoff averaged over the table rows, row o weighted by
-    ``weights[o]`` (a JointDistribution or any mapping over the eight outcomes).
+def expected_payoffs(table: GeneralGame, weights: Sequence[float]) -> PayoffTriple:
+    """Each player's payoff averaged over the table rows, weighted by eight
+    ``weights`` in OUTCOMES order (for a GHZ distribution, its ``values``).
 
-    The weights are taken in OUTCOMES order, a JointDistribution's straight
-    from its stored tuple, and each player's payoff is the ``fsum`` of
-    weight times that player's column of the table (``GeneralGame.columns``).
+    Each player's payoff is the ``fsum`` of weight times that player's column
+    of the table (``GeneralGame.columns``).
     """
-    if isinstance(weights, JointDistribution):
-        w = weights.values
-    else:
-        w = [weights[o] for o in OUTCOMES]
-    return PayoffTriple(*(math.fsum(map(operator.mul, w, column)) for column in table.columns))
+    return PayoffTriple(*(math.fsum(map(operator.mul, weights, column)) for column in table.columns))
 
 
 def classical_payoffs(game: GeneralGame, mixed: MixedProfile) -> PayoffTriple:
     """Expected payoffs when the outcome distribution factorizes over players."""
-    return expected_payoffs(game, {o: product_weight(o, mixed) for o in OUTCOMES})
+    return expected_payoffs(game, [product_weight(o, mixed) for o in OUTCOMES])
 
 
 def quantum_payoffs(game: GeneralGame, profile: DirectionProfile) -> PayoffTriple:
     """Expected payoffs under the GHZ joint distribution for the profile."""
-    return expected_payoffs(game, ghz.joint_distribution(profile))
+    return expected_payoffs(game, ghz.joint_distribution(profile).values)
 
 
 def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> PayoffTriple:
@@ -91,7 +85,7 @@ def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> P
     """
     require_inplane(profile)
     d = ghz.delta(profile)
-    weights = {o: 0.125 * (1.0 + o.m * o.l * o.k * d) for o in OUTCOMES}
+    weights = [0.125 * (1.0 + o.m * o.l * o.k * d) for o in OUTCOMES]
     return expected_payoffs(symmetric_to_general(game), weights)
 
 

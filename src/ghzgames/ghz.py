@@ -15,6 +15,10 @@ above is used for evaluation; the tensor itself lives in the tests, which
 confirm the reduction.  An independent brute-force three-qubit evaluation of
 the same distribution lives in the oracle module.
 
+joint_distribution evaluates all eight outcomes at once, in OUTCOMES order.
+The same formula written for one outcome at a time is not part of the
+package; it lives in the tests as the bit-for-bit reference for that pass.
+
 All functions here are pure and thread-safe.  Probabilities are returned at
 full floating precision; formatting is left to callers.
 """
@@ -27,7 +31,6 @@ from .core import (
     OUTCOMES,
     DirectionProfile,
     JointDistribution,
-    OutcomeTriple,
     player_index,
 )
 
@@ -43,19 +46,6 @@ def delta(profile: DirectionProfile) -> float:
     )
 
 
-def kz_probability(outcome: OutcomeTriple, profile: DirectionProfile) -> float:
-    """Probability of one outcome triple under the closed form (unclamped)."""
-    a, b, c = profile.a, profile.b, profile.c
-    m, l, k = outcome.signs()
-    return 0.125 * (
-        1.0
-        + m * l * a.a3 * b.a3
-        + m * k * a.a3 * c.a3
-        + l * k * b.a3 * c.a3
-        + m * l * k * delta(profile)
-    )
-
-
 #: The sign triples (m, l, k) of OUTCOMES, in order.
 _SIGNS = tuple(o.signs() for o in OUTCOMES)
 
@@ -64,8 +54,9 @@ def joint_distribution(profile: DirectionProfile) -> JointDistribution:
     """All eight outcome probabilities for one direction profile, in OUTCOMES order.
 
     D and the three pair products are computed once.  Each value is
-    bit-identical to kz_probability: the terms are added in the same order,
-    and a +-1 factor changes no rounding.
+    bit-identical to the formula above evaluated for one outcome at a time
+    (the per-outcome reference lives in the tests): the terms are added in
+    the same order, and a +-1 factor changes no rounding.
     """
     a, b, c = profile.a, profile.b, profile.c
     ab, ac, bc = a.a3 * b.a3, a.a3 * c.a3, b.a3 * c.a3

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from ghzgames import ghz
 from ghzgames.core import (
     OUTCOMES,
     Direction,
     DirectionProfile,
     GeneralGame,
+    OutcomeTriple,
     SymmetricGame,
     random_direction,
 )
@@ -84,6 +86,23 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def kz_probability(outcome: OutcomeTriple, profile: DirectionProfile) -> float:
+    """Probability of one outcome triple under the closed form (unclamped).
+
+    The reference for ghz.joint_distribution, which computes all eight in one
+    pass and must agree with this, after its clamp, bit for bit.
+    """
+    a, b, c = profile.a, profile.b, profile.c
+    m, l, k = outcome.signs()
+    return 0.125 * (
+        1.0
+        + m * l * a.a3 * b.a3
+        + m * k * a.a3 * c.a3
+        + l * k * b.a3 * c.a3
+        + m * l * k * ghz.delta(profile)
+    )
 
 
 def _player_split(outcome, player: str) -> tuple[int, int, int]:

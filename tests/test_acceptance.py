@@ -32,6 +32,7 @@ from support import (
     DEGENERATE,
     deviation_payoffs,
     fibonacci_sphere,
+    kz_probability,
     random_direction,
     random_inplane_profile,
     random_profile,
@@ -77,7 +78,7 @@ def test_criterion_02_distribution_sanity():
     worst_entry = 0.0
     worst_marginal = 0.0
     for profile in _sample_profiles():
-        values = [ghz.kz_probability(o, profile) for o in OUTCOMES]
+        values = [kz_probability(o, profile) for o in OUTCOMES]
         worst_sum = max(worst_sum, abs(math.fsum(values) - 1.0))
         worst_entry = min(worst_entry, min(values))
         for player in PLAYERS:

@@ -506,6 +506,12 @@ def test_check_game_missing_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+_NEEDS_CONSTANTS = (
+    "error: symmetric game file needs numeric fields "
+    "('alpha', 'beta', 'delta', 'epsilon', 'theta', 'omega')\n"
+)
+
+
 @pytest.mark.parametrize("content, message", [
     ([], "must be an object with a 'type' field"),
     ({"alpha": 1}, "must be an object with a 'type' field"),
@@ -515,7 +521,10 @@ def test_check_game_missing_file_exits_2(capsys, tmp_path):
     ({"type": "general", "entries": PD_GENERAL_ENTRIES[:7] + PD_GENERAL_ENTRIES[:1]},
      "duplicate strategy triple ['S1', 'S1', 'S1']"),
     ({"type": "other"}, "unknown game file type 'other'"),
-], ids=["list", "no-type", "seven-entries", "bad-label", "repeated-triple", "other-type"])
+    ({**PD_FILE_CONTENT, "omega": None}, _NEEDS_CONSTANTS),
+    ({k: v for k, v in PD_FILE_CONTENT.items() if k != "theta"}, _NEEDS_CONSTANTS),
+], ids=["list", "no-type", "seven-entries", "bad-label", "repeated-triple", "other-type",
+        "non-numeric-constant", "missing-constant"])
 def test_check_game_malformed_file_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content), encoding="utf-8")
@@ -530,7 +539,8 @@ _PD_TEXT = json.dumps(PD_FILE_CONTENT)
 
 @pytest.mark.parametrize("content, message", [
     (b"\xff" + _PD_TEXT.encode(), "cannot read game file"),
-    (_PD_TEXT.replace('"alpha": 7', f'"alpha": {_HUGE_INT}'), "symmetric game file needs numeric fields"),
+    (_PD_TEXT.replace('"alpha": 7', f'"alpha": {_HUGE_INT}'),
+     "error: symmetric game field 'alpha': int too large to convert to float\n"),
     (json.dumps({"type": "general", "entries": PD_GENERAL_ENTRIES}).replace("[7, 7, 7]", f"[{_HUGE_INT}, 7, 7]"),
      "int too large to convert to float"),
     # More digits than Python's default limit for converting a str to an int.

@@ -217,13 +217,13 @@ def test_symmetric_game_rejects_non_finite():
 
 
 def _uniform_probs():
-    return {o: 0.125 for o in OUTCOMES}
+    return [0.125] * len(OUTCOMES)
 
 
 def test_joint_distribution_clamps_tiny_negative_on_read():
     probs = _uniform_probs()
-    probs[OUTCOMES[0]] = -0.5e-12
-    probs[OUTCOMES[1]] = 0.25 + 0.5e-12
+    probs[0] = -0.5e-12
+    probs[1] = 0.25 + 0.5e-12
     dist = JointDistribution(probs)
     assert dist[OUTCOMES[0]] == 0.0
 
@@ -233,31 +233,33 @@ def test_joint_distribution_clamps_tiny_negative_on_read():
 ])
 def test_joint_distribution_every_read_returns_the_stored_value(dust, stored):
     probs = _uniform_probs()
-    probs[OUTCOMES[0]] = dust
-    probs[OUTCOMES[1]] = 0.25 - dust
+    probs[0] = dust
+    probs[1] = 0.25 - dust
     dist = JointDistribution(probs)
-    reads = [dist[OUTCOMES[0]], dist.items()[0][1], dist.values[0]]
+    reads = [dist[OUTCOMES[0]], dist.values[0]]
     assert all(r == stored and math.copysign(1.0, r) == math.copysign(1.0, stored) for r in reads)
     assert repr(dist).startswith(f"JointDistribution({{+++: {stored!r}, -++: ")
 
 
 def test_joint_distribution_rejects_large_negative():
     probs = _uniform_probs()
-    probs[OUTCOMES[0]] = -1e-9
-    probs[OUTCOMES[1]] = 0.25 + 1e-9
+    probs[0] = -1e-9
+    probs[1] = 0.25 + 1e-9
     with pytest.raises(ValueError):
         JointDistribution(probs)
 
 
 def test_joint_distribution_rejects_bad_sum():
-    probs = {o: 0.2 for o in OUTCOMES}
+    probs = [0.2] * len(OUTCOMES)
     with pytest.raises(ValueError):
         JointDistribution(probs)
 
 
-def test_joint_distribution_canonical_iteration_order():
-    dist = JointDistribution(_uniform_probs())
-    assert [o for o, _ in dist.items()] == list(OUTCOMES)
+@pytest.mark.parametrize("use", [iter, list, dict, len, lambda dist: OUTCOMES[0] in dist])
+def test_joint_distribution_is_not_a_collection(use):
+    # Payoff weights are dist.values; a distribution itself must not pass for them.
+    with pytest.raises(TypeError):
+        use(JointDistribution(_uniform_probs()))
 
 
 def test_player_index_follows_players_order():

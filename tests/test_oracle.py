@@ -111,7 +111,7 @@ def test_oracle_distribution_x_y_y():
 
 
 def kron_joint_operators(profile):
-    """Each outcome's 8x8 joint operator as np.kron(np.kron(P_a, P_b), P_c)."""
+    """Each outcome's 8x8 joint operator as np.kron(np.kron(P_a, P_b), P_c), in OUTCOMES order."""
     projectors = []
     for direction in (profile.a, profile.b, profile.c):
         obs = oracle.observable_from_direction(direction)
@@ -129,9 +129,7 @@ def reference_oracle(profile):
     in one stacked matmul; it must agree with this loop bit for bit.
     """
     psi = oracle.ghz_state()
-    return JointDistribution(
-        {outcome: np.vdot(psi, op @ psi).real for outcome, op in kron_joint_operators(profile).items()}
-    )
+    return JointDistribution([np.vdot(psi, op @ psi).real for op in kron_joint_operators(profile).values()])
 
 
 def test_joint_operators_are_eight_dimensional_and_preserve_mass():

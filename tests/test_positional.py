@@ -1,9 +1,11 @@
-"""The positional path (8-tuples in OUTCOMES order) equals the mapping path, bit for bit.
+"""The positional path (8-tuples in OUTCOMES order) equals the per-outcome form, bit for bit.
 
 JointDistribution stores its values as a tuple in OUTCOMES order, the closed
 form fills it in one pass, and expected_payoffs and check_symmetry read the
 per-player columns of the table.  These properties compare each of those with
-the per-outcome mapping form it replaced.
+a per-outcome reference kept here: the closed form one outcome at a time
+(support.kz_probability), the expectation as an fsum over table.payoff(o), and
+the symmetry check keyed by payoff().
 """
 
 import dataclasses
@@ -18,95 +20,71 @@ from ghzgames.core import (
     EXACT_TOL,
     OUTCOMES,
     PLAYERS,
+    Direction,
+    DirectionProfile,
     GeneralGame,
     JointDistribution,
+    MixedProfile,
     PayoffTriple,
     SymmetricGame,
     SymmetryReport,
     check_symmetry,
     symmetric_to_general,
 )
-from support import direction_profiles, finite_payoffs, symmetric_games
+from support import direction_profiles, finite_payoffs, kz_probability, symmetric_games
 
 
 def _same_float(x: float, y: float) -> bool:
     return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+def _stored_kz(outcome, profile) -> float:
+    """kz_probability with dust below 0 stored as 0, as JointDistribution stores it."""
+    p = kz_probability(outcome, profile)
+    return 0.0 if p < 0 else p
+
+
 @given(direction_profiles)
 def test_closed_form_values_equal_clamped_kz_probability(profile):
     dist = ghz.joint_distribution(profile)
-    expected = []
-    for o in OUTCOMES:
-        kz = ghz.kz_probability(o, profile)
-        expected.append(0.0 if kz < 0 else kz)
+    expected = [_stored_kz(o, profile) for o in OUTCOMES]
     assert all(_same_float(dist[o], p) for o, p in zip(OUTCOMES, expected))
     assert all(_same_float(v, p) for v, p in zip(dist.values, expected))
-
-
-_weights = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8).filter(
-    lambda w: sum(w) > 0.0
-)
-
-
-@st.composite
-def _distribution_inputs(draw):
-    """Eight probabilities in OUTCOMES order, valid or broken in one way."""
-    weights = draw(_weights)
-    values = [w / math.fsum(weights) for w in weights]
-    spot = draw(st.integers(0, 7))
-    flaw = draw(st.sampled_from(["none", "dust", "negative-zero", "nan", "inf", "below", "sum", "short", "long"]))
-    if flaw == "dust":
-        values[spot] = -draw(st.floats(min_value=0.0, max_value=1e-12))
-    elif flaw == "negative-zero":
-        values[spot] = -0.0
-    elif flaw == "nan":
-        values[spot] = math.nan
-    elif flaw == "inf":
-        values[spot] = draw(st.sampled_from([math.inf, -math.inf]))
-    elif flaw == "below":
-        values[spot] = -draw(st.floats(min_value=1.0000001e-12, max_value=1.0))
-    elif flaw == "sum":
-        values[spot] += draw(st.floats(min_value=1e-9, max_value=1.0))
-    elif flaw == "short":
-        del values[spot]
-    elif flaw == "long":
-        values.append(0.0)
-    return values
-
-
-def _build(probs):
-    try:
-        return repr(JointDistribution(probs))
-    except ValueError as err:
-        return f"ValueError: {err}"
-
-
-@given(_distribution_inputs())
-def test_sequence_and_mapping_construction_agree(values):
-    # A ninth value needs a key that is not an outcome.
-    mapping = dict(zip((*OUTCOMES, "ninth"), values))
-    from_sequence = _build(values)
-    assert from_sequence == _build(mapping)
-    assert from_sequence == _build(tuple(values))
 
 
 _tables = st.lists(st.tuples(finite_payoffs, finite_payoffs, finite_payoffs), min_size=8, max_size=8).map(
     lambda rows: GeneralGame(dict(zip(OUTCOMES, rows)))
 )
+_unit_interval = st.floats(min_value=0.0, max_value=1.0)
+_inplane_directions = st.floats(min_value=0.0, max_value=2.0 * math.pi).map(
+    lambda t: Direction(math.cos(t), math.sin(t), 0.0)
+)
 
 
-@given(_tables, direction_profiles)
-def test_expected_payoffs_positional_equals_mapping(table, profile):
-    dist = ghz.joint_distribution(profile)
-    by_mapping = game.expected_payoffs(table, dict(dist.items()))
-    assert repr(game.expected_payoffs(table, dist)) == repr(by_mapping)
-    # The per-outcome form the columns replaced.
-    reference = PayoffTriple(*(
-        math.fsum(dist[o] * table.payoff(o).for_player(player) for o in OUTCOMES)
+def _payoffs_by_outcome(table: GeneralGame, weight) -> PayoffTriple:
+    """Each player's fsum over the outcomes of weight(o) times table.payoff(o):
+    the per-outcome reference for expected_payoffs, which reads the columns."""
+    return PayoffTriple(*(
+        math.fsum(weight(o) * table.payoff(o).for_player(player) for o in OUTCOMES)
         for player in PLAYERS
     ))
-    assert repr(by_mapping) == repr(reference)
+
+
+@given(
+    _tables,
+    st.builds(MixedProfile, _unit_interval, _unit_interval, _unit_interval),
+    direction_profiles,
+    symmetric_games,
+    st.builds(DirectionProfile, _inplane_directions, _inplane_directions, _inplane_directions),
+)
+def test_payoffs_equal_the_per_outcome_reference(table, mixed, profile, symmetric, inplane):
+    classical = _payoffs_by_outcome(table, lambda o: game.product_weight(o, mixed))
+    assert repr(game.classical_payoffs(table, mixed)) == repr(classical)
+    quantum = _payoffs_by_outcome(table, lambda o: _stored_kz(o, profile))
+    assert repr(game.quantum_payoffs(table, profile)) == repr(quantum)
+    # With every third component 0 the closed form is the in-plane weight, bit for bit.
+    in_plane = _payoffs_by_outcome(symmetric_to_general(symmetric), lambda o: kz_probability(o, inplane))
+    assert repr(game.quantum_payoffs_inplane(symmetric, inplane)) == repr(in_plane)
 
 
 @given(_tables)
@@ -124,7 +102,7 @@ def test_general_game_columns_leave_repr_and_equality_alone(table):
     )
 
 
-@pytest.mark.parametrize("probs", [[0.125] * 7, [0.125] * 9, {}])
+@pytest.mark.parametrize("probs", [[0.125] * 7, [0.125] * 9, ()])
 def test_wrong_length_names_the_outcome_set(probs):
     with pytest.raises(ValueError, match="exactly the 8 canonical outcomes"):
         JointDistribution(probs)
