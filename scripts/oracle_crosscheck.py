@@ -22,6 +22,10 @@ def main() -> None:
     parser.add_argument("--profiles", type=int, default=2000)
     parser.add_argument("--rng-seed", type=int, default=0)
     args = parser.parse_args()
+    if args.profiles < 1:
+        parser.error("--profiles must be >= 1")
+    if args.rng_seed < 0:
+        parser.error("--rng-seed must be >= 0")
 
     rng = np.random.default_rng(args.rng_seed)
     worst_diff = 0.0

@@ -26,6 +26,10 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=64)
     parser.add_argument("--rng-seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
+    if args.rng_seed < 0:
+        parser.error("--rng-seed must be >= 0")
 
     print(f"payoff constants: {PD.constants()}")
     print(f"dilemma gate: {nash.check_pd(PD)}")

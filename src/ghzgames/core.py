@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,31 +113,39 @@ def make_direction(a1: float, a2: float, a3: float, normalize: bool = False) -> 
 _DRAW_BLOCK = 3 * 1024
 
 
-def random_directions(rng: np.random.Generator, count: int) -> Iterator[Direction]:
-    """Yield ``count`` directions drawn uniformly from the sphere.
+def random_directions(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` directions drawn uniformly from the sphere, as the rows of a
+    (count, 3) array.
 
-    Each is a standard normal 3-vector divided by its norm
-    ``math.sqrt(v.dot(v))``, which is bit-identical to
-    ``numpy.linalg.norm(v)`` and keeps this module free of a numpy import; a
-    vector with norm at most 1e-12 (practically unreachable) is skipped for
-    the next one.  The vectors are the rows of ``rng.normal(size=(n, 3))``
-    calls with n at most _DRAW_BLOCK.  Such a call consumes the normal stream
-    as n successive ``rng.normal(size=3)`` calls do, so the directions do not
-    depend on the block size.  Each row is normalized on its own, with Python
-    division, because a vectorized norm may round differently.
+    Each is a standard normal 3-vector divided by its norm; a vector with norm
+    at most 1e-12 (practically unreachable) is skipped for the next one.  The
+    vectors are the rows of ``rng.normal(size=(n, 3))`` calls with n at most
+    _DRAW_BLOCK.  Such a call consumes the normal stream as n successive
+    ``rng.normal(size=3)`` calls do, so the directions do not depend on the
+    block size.  The rows are normalized together, with the bits that
+    ``math.sqrt(v.dot(v))`` and a Python division give row by row: the
+    stacked product ``v[:, None, :] @ v[:, :, None]`` goes to the same dot
+    kernel as ``v.dot(v)``, and sqrt and division are correctly rounded in
+    numpy as in Python.  (An ``einsum`` or a plain sum of squares rounds
+    differently.)
     """
+    import numpy as np  # here, so that importing core (and the CLI) does not load numpy
+
+    blocks = []
     while count > 0:
-        for v in rng.normal(size=(min(count, _DRAW_BLOCK), 3)):
-            norm = math.sqrt(v.dot(v))
-            if norm > 1e-12:
-                count -= 1
-                yield Direction(v[0] / norm, v[1] / norm, v[2] / norm)
+        v = rng.normal(size=(min(count, _DRAW_BLOCK), 3))
+        norm = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+        if norm.min() <= 1e-12:
+            v, norm = v[norm > 1e-12], norm[norm > 1e-12]
+        blocks.append(v / norm[:, None])
+        count -= len(v)
+    return np.concatenate(blocks) if blocks else np.empty((0, 3))
 
 
 def random_direction(rng: np.random.Generator) -> Direction:
-    """The first direction random_directions yields: one ``rng.normal(size=3)``
-    draw, normalized, and a new draw in the near-zero case."""
-    return next(random_directions(rng, 1))
+    """The first row of random_directions: one ``rng.normal(size=3)`` draw,
+    normalized, and a new draw in the near-zero case."""
+    return Direction(*random_directions(rng, 1)[0])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ That structure makes everything here exact:
   equilibrium (a deviation gains more than GAIN_TOL, returned as a witness).
 
 ``find_ne`` runs cyclic best-response dynamics from random starts.  The
+seeds of a block sweep together in numpy steps, with the per-seed loop's
+arithmetic term for term and math.hypot for every norm, so each fixed point
+has the bits a seed would reach on its own; the last few seeds of a block,
+and blocks too small to batch, run in that per-seed loop.  The
 X-Y-plane constraint analysis (``case_a_constraints``, ``case_b_check``) and
 the generalized three-player dilemma gate (``check_pd``) round out the module.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .core import (
     PLAYERS,
@@ -44,6 +48,9 @@ from .core import (
     random_directions,
     require_inplane,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Gradient norms at or below this count as full indifference.
 GRADIENT_TOL = 1e-12
@@ -243,24 +250,25 @@ class SearchResult:
     non_converged: tuple[int, ...]
 
 
-def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3]) -> list[Vec3] | None:
+def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3], sweeps: int) -> list[Vec3] | None:
     """Cyclic A, B, C updates until a sweep moves every player < SWEEP_MOVE_TOL.
 
     ``dirs`` holds the three players' component triples and is updated in
     place; the fixed point is returned as that list.  One sweep updates the
     players in _UPDATES order, and indifferent players keep their current
-    direction.  Returns None when MAX_SWEEPS pass without convergence.
+    direction.  Returns None when ``sweeps`` sweeps pass without convergence.
 
     A move is measured by its chord ``math.hypot(d - r)``, which gives the
     same verdict as the angle _angle_between would: 2*asin(chord/2) equals
     the chord for chords below 2**-26, and is at least the chord above it,
     where both exceed SWEEP_MOVE_TOL.
 
-    Nothing here builds a Direction (only _respond does, to reject an
-    overflowed norm).  find_ne builds them at the edges: the random starts,
-    each cluster representative and each verify_ne response.
+    _sweep_batch runs the same sweep for many seeds at once, with the same
+    bits, and hands its last seeds to this loop with the sweeps they have
+    left.  Nothing here builds a Direction (only _respond does, to reject an
+    overflowed norm).
     """
-    for _ in range(MAX_SWEEPS):
+    for _ in range(sweeps):
         moved = 0.0
         for own, i, j in _UPDATES:
             response = _respond(gp, dirs[i], dirs[j])[2]
@@ -275,6 +283,103 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3]) -> list[Vec3] | Non
     return None
 
 
+#: Seeds whose starts are drawn, and whose sweeps are batched, together.
+_SEED_BLOCK = 1024
+#: Once fewer seeds than this are left unconverged in a block, one numpy
+#: step per sweep costs more than the per-seed loop, which takes them over.
+_HANDOFF = 64
+
+
+def _hypot(x, y, z):
+    """math.hypot of each row of three equal-length arrays, as an array.
+
+    numpy's own hypot rounds differently, so each row goes through
+    math.hypot to keep the bits of the per-seed loop.
+    """
+    import numpy as np
+
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist(), z.tolist()), float, len(x))
+
+
+def _triples(row: list[float]) -> list[Vec3]:
+    """A seed's nine components, A's then B's then C's, as three triples."""
+    return [tuple(row[0:3]), tuple(row[3:6]), tuple(row[6:9])]
+
+
+def _sweep_block(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None]:
+    """The fixed point of each seed of a block, or None, in seed order.
+
+    ``starts`` has one row per seed: A's, then B's, then C's start
+    components.  A block of at least _HANDOFF seeds is swept by
+    _sweep_batch; a smaller one, or one whose batch met a norm that is not
+    finite, goes seed by seed through _iterate_best_responses from its
+    starts, which raises on such a norm as it always has.
+    """
+    if len(starts) >= _HANDOFF:
+        fixed = _sweep_batch(gp, starts)
+        if fixed is not None:
+            return fixed
+    return [_iterate_best_responses(gp, _triples(row), MAX_SWEEPS) for row in starts.tolist()]
+
+
+def _sweep_batch(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None] | None:
+    """_sweep_block's result for a block, with its sweeps run in numpy steps;
+    None if a gradient norm is not finite.
+
+    Every unconverged seed advances one sweep per step, with the arithmetic
+    of _payoff_gradient and _respond term for term and each norm taken by
+    math.hypot, so every seed follows the path the per-seed loop would.
+    Once fewer than _HANDOFF seeds are left they continue in
+    _iterate_best_responses with the sweeps that remain of MAX_SWEEPS.
+    """
+    import numpy as np
+
+    fixed: list[list[Vec3] | None] = [None] * len(starts)
+    active = np.arange(len(starts))
+    # cols[3 * p + k]: component k of player p, one entry per active seed.
+    cols = list(starts.T.copy())
+    done_sweeps = 0
+    gamma1, gamma2, minus_gamma2 = gp.gamma1, gp.gamma2, -gp.gamma2
+    with np.errstate(all="ignore"):
+        while len(active) >= _HANDOFF and done_sweeps < MAX_SWEEPS:
+            done_sweeps += 1
+            converged = np.ones(len(active), dtype=bool)
+            for own, i, j in _UPDATES:
+                u1, u2, u3 = cols[3 * i:3 * i + 3]
+                v1, v2, v3 = cols[3 * j:3 * j + 3]
+                grad = (gamma2 * (u1 * v1 - u2 * v2), minus_gamma2 * (u1 * v2 + u2 * v1), gamma1 * (u3 + v3))
+                norm = _hypot(*grad)
+                if not np.isfinite(norm).all():
+                    return None
+                moves = norm > GRADIENT_TOL
+                divisor = np.where(moves, norm, 1.0)
+                d = cols[3 * own:3 * own + 3]
+                response = [np.where(moves, g / divisor, c) for g, c in zip(grad, d)]
+                converged &= _hypot(*(c - r for c, r in zip(d, response))) < SWEEP_MOVE_TOL
+                cols[3 * own:3 * own + 3] = response
+            if converged.any():
+                rows = np.array(cols).T[converged].tolist()
+                for seed, row in zip(active[converged].tolist(), rows):
+                    fixed[seed] = _triples(row)
+                active = active[~converged]
+                cols = [c[~converged] for c in cols]
+    for seed, row in zip(active.tolist(), np.array(cols).T.tolist()):
+        fixed[seed] = _iterate_best_responses(gp, _triples(row), MAX_SWEEPS - done_sweeps)
+    return fixed
+
+
+def _fixed_points(gp: GammaPair, seeds: int, rng: np.random.Generator) -> Iterator[list[Vec3] | None]:
+    """Each seed's fixed point, or None when it did not converge, in seed order.
+
+    The starts are drawn _SEED_BLOCK seeds at a time, the next three
+    random_directions rows per seed, and each block is swept by _sweep_block.
+    """
+    for first in range(0, seeds, _SEED_BLOCK):
+        count = min(_SEED_BLOCK, seeds - first)
+        starts = random_directions(rng, len(PLAYERS) * count)
+        yield from _sweep_block(gp, starts.reshape(count, 3 * len(PLAYERS)))
+
+
 def _profile_distance(p: list[Vec3], q: list[Vec3]) -> float:
     """The largest angle between two fixed points' directions, over players."""
     return max(map(_angle_between, p, q))
@@ -285,40 +390,37 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
 
     Runs ``seeds`` independent starts drawn uniformly from the sphere (the
     generator is seeded with ``rng_seed``, so results are reproducible).
-    The three directions of each start are the next three of
-    random_directions, which draws them in blocks but yields the same
-    directions as successive random_direction calls.  A seed has converged
-    when one sweep moves every player by a chord below SWEEP_MOVE_TOL.
-    Each converged fixed point joins the earliest cluster whose
-    representative is within DEDUP_TOL_RAD of it for every player, or else
-    starts a new cluster.  Clusters are classified with verify_ne and
-    returned in first-seen seed order.  Seeds are evaluated sequentially, so
-    the output is independent of any scheduling.
+    The three directions of each start are the next three rows of
+    random_directions, which are the same directions as successive
+    random_direction calls.  A seed has converged when one sweep moves every
+    player by a chord below SWEEP_MOVE_TOL.  The sweeps of a block of seeds
+    run together in numpy steps (_fixed_points), but each seed's fixed point
+    has the bits it would have on its own, so the result does not depend on
+    how seeds are grouped.  Each converged fixed point, in seed order, joins
+    the earliest cluster whose representative is within DEDUP_TOL_RAD of it
+    for every player, or else starts a new cluster.  Clusters are classified
+    with verify_ne and returned in first-seen seed order.
 
     Candidate clusters are looked up by the cell of A's first component, so
     the dedup cost is near-linear in seeds unless many fixed points share
     that cell.
 
     The dynamics and the dedup run on plain (a1, a2, a3) float triples.
-    Directions are built, and validated, only at the edges: the random
-    starts, each cluster's representative and each verify_ne response.
+    Directions are built, and validated, only for each cluster's
+    representative and each verify_ne response.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds!r}")
     import numpy as np  # here, so that importing nash (and the CLI) does not load numpy
 
     rng = np.random.default_rng(rng_seed)
-    gp = gammas(game)
     clusters: list[tuple[list[Vec3], list[int]]] = []
     # An angle is at least the chord, which is at least |delta a1|, so a
     # cluster within DEDUP_TOL_RAD lies in the same or a neighbouring cell.
     cell = 2.0 * DEDUP_TOL_RAD
     cells: dict[int, list[int]] = {}
     failed: list[int] = []
-    starts = random_directions(rng, len(PLAYERS) * seeds)
-    for seed_index in range(seeds):
-        start = [next(starts).components() for _ in PLAYERS]
-        fixed = _iterate_best_responses(gp, start)
+    for seed_index, fixed in enumerate(_fixed_points(gammas(game), seeds, rng)):
         if fixed is None:
             failed.append(seed_index)
             continue

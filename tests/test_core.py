@@ -72,15 +72,70 @@ def test_random_direction_normalizes_successive_normal_draws():
         assert random_direction(rng) == Direction(v[0] / norm, v[1] / norm, v[2] / norm)
 
 
+def _normalized_rows(rng, count):
+    """Reference starts: successive size-3 normal draws, each divided by its
+    own ``math.sqrt(v.dot(v))`` in Python floats; a norm <= 1e-12 is skipped."""
+    rows = []
+    while len(rows) < count:
+        v = rng.normal(size=3)
+        norm = math.sqrt(v.dot(v))
+        if norm > 1e-12:
+            rows.append([x / norm for x in v.tolist()])
+    return rows
+
+
 @pytest.mark.parametrize("block", [1, 2, 4, 5, 3 * 1024])
-@pytest.mark.parametrize("count", [1, 3, 7, 12, 3 * 1024 + 5])
+@pytest.mark.parametrize("count", [0, 1, 3, 7, 12, 3 * 1024 + 5])
 def test_random_directions_match_successive_random_direction_calls(monkeypatch, block, count):
-    # Blocks of 4 or 5 end inside a seed's three starts.
+    # The reference is what successive random_direction calls return: one
+    # size-3 draw each, normalized on its own.  Blocks of 4 or 5 end inside
+    # a seed's three starts.
     monkeypatch.setattr(core, "_DRAW_BLOCK", block)
     rng, reference = np.random.default_rng(17), np.random.default_rng(17)
-    drawn = list(core.random_directions(rng, count))
-    assert repr(drawn) == repr([random_direction(reference) for _ in range(count)])
+    assert repr(core.random_directions(rng, count).tolist()) == repr(_normalized_rows(reference, count))
     assert rng.normal() == reference.normal()
+
+
+def test_random_directions_take_the_norm_from_the_dot_product():
+    # On about one row in ten the plain sum x*x + y*y + z*z rounds apart from
+    # v.dot(v) and moves the normalized row; there the rows follow v.dot(v).
+    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+    moved = 0
+    for row in core.random_directions(rng, 3000).tolist():
+        v = reference.normal(size=3)
+        x, y, z = v.tolist()
+        by_dot = math.sqrt(v.dot(v))
+        by_sum = math.sqrt(x * x + y * y + z * z)
+        assert row == [x / by_dot, y / by_dot, z / by_dot]
+        moved += row != [x / by_sum, y / by_sum, z / by_sum]
+    assert moved > 100
+
+
+class _RecordingGenerator:
+    """A numpy generator that records the size of each normal draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return self.rng.normal(size=size)
+
+
+def test_find_ne_draws_at_most_a_block_of_rows_at_once(monkeypatch):
+    generators = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        generators.append(_RecordingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    nash.find_ne(PD, 2 * 1024 + 100, 0)
+    (generator,) = generators
+    assert max(rows for rows, _ in generator.sizes) <= core._DRAW_BLOCK
+    assert sum(rows for rows, _ in generator.sizes) == 3 * (2 * 1024 + 100)
 
 
 def test_find_ne_draws_the_same_starts_whatever_the_block(monkeypatch):
@@ -106,7 +161,7 @@ class _ZeroFirst:
 def test_random_directions_skip_a_zero_vector_to_the_next_row(monkeypatch, block):
     monkeypatch.setattr(core, "_DRAW_BLOCK", block)
     rng = _ZeroFirst([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    assert list(core.random_directions(rng, 2)) == [Direction(0.0, 0.6, 0.8), X_AXIS]
+    assert core.random_directions(rng, 2).tolist() == [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]]
     assert sum(n for n, _ in rng.sizes) == 3
     assert all(n <= block for n, _ in rng.sizes)
     assert random_direction(rng) == Direction(0.0, 0.0, -1.0)

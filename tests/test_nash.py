@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzgames import game, nash
+from ghzgames import core, game, nash
 from ghzgames.core import (
     Direction,
     DirectionProfile,
@@ -347,8 +347,7 @@ def _clusters(result):
 
 def _find_ne_clusters(monkeypatch, fixed_points):
     """find_ne's clusters when the dynamics return ``fixed_points`` in seed order."""
-    replies = iter(fixed_points)
-    monkeypatch.setattr(nash, "_iterate_best_responses", lambda gp, start: _triples(next(replies)))
+    monkeypatch.setattr(nash, "_fixed_points", lambda gp, seeds, rng: map(_triples, fixed_points))
     return _clusters(nash.find_ne(PD, len(fixed_points), 0))
 
 
@@ -420,14 +419,14 @@ def test_find_ne_dedup_joins_the_earliest_of_two_clusters(monkeypatch):
 
 def test_find_ne_dedup_matches_pairwise_reference_on_real_fixed_points(monkeypatch):
     recorded = []
-    iterate = nash._iterate_best_responses
+    fixed_points = nash._fixed_points
 
-    def recording(gp, start):
-        fixed = iterate(gp, start)
-        recorded.append(None if fixed is None else DirectionProfile(*(Direction(*d) for d in fixed)))
-        return fixed
+    def recording(gp, seeds, rng):
+        for fixed in fixed_points(gp, seeds, rng):
+            recorded.append(None if fixed is None else DirectionProfile(*(Direction(*d) for d in fixed)))
+            yield fixed
 
-    monkeypatch.setattr(nash, "_iterate_best_responses", recording)
+    monkeypatch.setattr(nash, "_fixed_points", recording)
     result = nash.find_ne(PD, 512, 11)
     assert len(recorded) == 512
     assert _clusters(result) == _pairwise_clusters(recorded)
@@ -461,9 +460,9 @@ def test_find_ne_dedup_work_on_two_pole_game(monkeypatch):
 
 
 def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
-    # Each dilemma seed converges in two sweeps of three best responses, and
-    # the search must make every one of them through nash._respond; verify_ne
-    # then makes three per cluster.
+    # Each dilemma seed converges in two sweeps of three best responses.
+    # Below the hand-off every one of them goes through nash._respond; at it,
+    # the batched sweeps make none.  verify_ne then makes three per cluster.
     calls = 0
     respond = nash._respond
 
@@ -473,14 +472,17 @@ def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
         return respond(gp, u, v)
 
     monkeypatch.setattr(nash, "_respond", counting)
-    result = nash.find_ne(PD, 64, 0)
-    assert calls == 384 + 3 * len(result.equilibria)
+    for handoff, per_seed_calls in ((65, 6), (64, 0)):
+        monkeypatch.setattr(nash, "_HANDOFF", handoff)
+        calls = 0
+        result = nash.find_ne(PD, 64, 0)
+        assert calls == 64 * per_seed_calls + 3 * len(result.equilibria)
 
 
 def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
-    # Three random starts per seed, and per cluster three representative
-    # directions and at most three verify_ne responses; the updates and the
-    # dedup build none.
+    # Per cluster three representative directions and at most three
+    # verify_ne responses; the starts, the updates and the dedup build none,
+    # whether the seeds sweep one by one (24) or batched (256).
     built = 0
     post_init = Direction.__post_init__
 
@@ -490,8 +492,10 @@ def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Direction, "__post_init__", counting)
-    result = nash.find_ne(TWO_POLE, 256, 0)
-    assert built <= 3 * 256 + 6 * len(result.equilibria)
+    for seeds in (24, 256):
+        built = 0
+        result = nash.find_ne(TWO_POLE, seeds, 0)
+        assert built <= 6 * len(result.equilibria)
 
 
 def test_find_ne_computes_gammas_once_for_all_seeds(monkeypatch):
@@ -512,7 +516,8 @@ def test_find_ne_computes_gammas_once_for_all_seeds(monkeypatch):
 # find_ne against the Direction-based reference dynamics -----------------------
 
 def _reference_iterate(gp, start):
-    """Reference dynamics: every update builds and validates a Direction."""
+    """Reference dynamics, one seed at a time: every update builds and
+    validates a Direction."""
     dirs = [Direction(*d) for d in start]
     for _ in range(nash.MAX_SWEEPS):
         moved = 0.0
@@ -533,15 +538,22 @@ def _reference_iterate(gp, start):
     return None
 
 
+def _reference_fixed_points(gp, seeds, rng):
+    starts = core.random_directions(rng, 3 * seeds).tolist()
+    return [_reference_iterate(gp, starts[3 * s:3 * s + 3]) for s in range(seeds)]
+
+
 def _reference_find_ne(monkeypatch, game, seeds, rng_seed):
     with monkeypatch.context() as patch:
-        patch.setattr(nash, "_iterate_best_responses", _reference_iterate)
+        patch.setattr(nash, "_fixed_points", _reference_fixed_points)
         return nash.find_ne(game, seeds, rng_seed)
 
 
 _SEARCH_GAMES = [PD, TWO_POLE, SymmetricGame(0, 0, 0, 0, 0, 0), DEGENERATE] + [
     random_symmetric_game(np.random.default_rng(100 + k)) for k in range(20)
 ]
+#: The default hand-off, and 1: every sweep of every seed batched.
+_HANDOFFS = [nash._HANDOFF, 1]
 
 
 @pytest.mark.parametrize("rng_seed", [0, 1, 7])
@@ -551,13 +563,47 @@ def test_find_ne_matches_the_direction_based_reference(monkeypatch, index, rng_s
     assert repr(nash.find_ne(g, 24, rng_seed)) == repr(_reference_find_ne(monkeypatch, g, 24, rng_seed))
 
 
+@pytest.mark.parametrize("rng_seed", [0, 1, 7])
+@pytest.mark.parametrize("index", range(len(_SEARCH_GAMES)))
+def test_find_ne_matches_the_reference_with_every_sweep_batched(monkeypatch, index, rng_seed):
+    g = _SEARCH_GAMES[index]
+    monkeypatch.setattr(nash, "_HANDOFF", 1)
+    assert repr(nash.find_ne(g, 24, rng_seed)) == repr(_reference_find_ne(monkeypatch, g, 24, rng_seed))
+
+
+@pytest.mark.parametrize("handoff", _HANDOFFS)
+@pytest.mark.parametrize("g", [PD, TWO_POLE], ids=["PD", "TWO_POLE"])
+def test_find_ne_matches_the_reference_above_the_handoff(monkeypatch, g, handoff):
+    monkeypatch.setattr(nash, "_HANDOFF", handoff)
+    seeds = 5 * nash._HANDOFF + 3
+    assert repr(nash.find_ne(g, seeds, 2)) == repr(_reference_find_ne(monkeypatch, g, seeds, 2))
+
+
+@pytest.mark.parametrize("handoff", _HANDOFFS)
+@pytest.mark.parametrize("max_sweeps", [6, 10])
+def test_find_ne_spends_the_sweep_budget_across_the_handoff(monkeypatch, max_sweeps, handoff):
+    # With rng seed 0, 60 of these 300 two-pole seeds still move after 8
+    # sweeps, so at the default hand-off a budget of 10 sweeps is split
+    # between the batch and the per-seed loop.  Of 6 sweeps the batch spends
+    # all, with more than 64 seeds active at the end.
+    monkeypatch.setattr(nash, "MAX_SWEEPS", max_sweeps)
+    monkeypatch.setattr(nash, "_HANDOFF", handoff)
+    result = nash.find_ne(TWO_POLE, 300, 0)
+    expected = _reference_find_ne(monkeypatch, TWO_POLE, 300, 0)
+    assert 0 < len(result.non_converged) < 300
+    assert result.non_converged == expected.non_converged
+    assert repr(result) == repr(expected)
+
+
 def test_find_ne_overflow_raises_as_the_reference_does(monkeypatch):
+    # 4 seeds sweep one by one; the larger block meets the overflow batched.
     g = SymmetricGame(1e308, -1e308, 1e308, -1e308, 1e308, -1e308)
-    with pytest.raises(NotUnitError) as expected:
-        _reference_find_ne(monkeypatch, g, 4, 0)
-    with pytest.raises(NotUnitError) as raised:
-        nash.find_ne(g, 4, 0)
-    assert str(raised.value) == str(expected.value)
+    for seeds in (4, 2 * nash._HANDOFF + 5):
+        with pytest.raises(NotUnitError) as expected:
+            _reference_find_ne(monkeypatch, g, seeds, 0)
+        with pytest.raises(NotUnitError) as raised:
+            nash.find_ne(g, seeds, 0)
+        assert str(raised.value) == str(expected.value)
 
 
 # the convergence test on the chord --------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,23 @@ def test_script_runs(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scripts/pd_equilibrium_scan.py", "--seeds", "0"], "--seeds must be >= 1"),
+    (["scripts/pd_equilibrium_scan.py", "--rng-seed", "-1"], "--rng-seed must be >= 0"),
+    (["scripts/oracle_crosscheck.py", "--rng-seed", "-1"], "--rng-seed must be >= 0"),
+    (["scripts/oracle_crosscheck.py", "--profiles", "0"], "--profiles must be >= 1"),
+])
+def test_script_rejects_a_bad_count_as_a_usage_error(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert err.endswith(f"error: {message}\n")
 
 
 _CODE_LINES_FIXTURE = '''"""Module docstring,
