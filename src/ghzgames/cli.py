@@ -58,8 +58,6 @@ EQUILIBRIUM_NOTE = (
     "payoffs. This tool always reports what the inequalities yield."
 )
 
-#: nash raises NotUnitError when a game's payoff gradient overflows to inf or nan.
-_OVERFLOW_MESSAGE = "payoff constants are too large for the equilibrium algebra (the payoff gradient overflows)"
 #: game.expected_payoffs raises OverflowError when a payoff expectation leaves the float range.
 _EXPECTATION_OVERFLOW = "payoffs are too large for the payoff expectation (its sum overflows)"
 
@@ -343,10 +341,7 @@ def _cmd_ne(args: argparse.Namespace) -> int:
     if args.subaction == "verify":
         profile = _parse_profile(args)
         inputs.update(_profile_dict(profile))
-        try:
-            ne_report = nash.verify_ne(symmetric, profile)
-        except NotUnitError:
-            raise CliError(EXIT_PARSE, _OVERFLOW_MESSAGE) from None
+        ne_report = nash.verify_ne(symmetric, profile)
         results["report"] = _ne_report_dict(ne_report)
         lines.append(f"verdict: {ne_report.verdict}")
         rows.append(["verdict", ne_report.verdict])
@@ -365,10 +360,7 @@ def _cmd_ne(args: argparse.Namespace) -> int:
             raise CliError(EXIT_PARSE, "--rng-seed must be >= 0")
         rng_seed = args.rng_seed
         inputs["seeds"] = args.seeds
-        try:
-            search = nash.find_ne(symmetric, args.seeds, args.rng_seed)
-        except NotUnitError:
-            raise CliError(EXIT_PARSE, _OVERFLOW_MESSAGE) from None
+        search = nash.find_ne(symmetric, args.seeds, args.rng_seed)
         if not search.equilibria:
             raise CliError(EXIT_SEARCH, "no seed converged to a fixed point")
         # A search report can be large, so only the selected format is built.

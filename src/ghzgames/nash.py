@@ -16,6 +16,12 @@ That structure makes everything here exact:
   some player is indifferent or the margin is below tolerance), and not an
   equilibrium (a deviation gains more than GAIN_TOL, returned as a witness).
 
+The search and the verdicts run on the invariants scaled by a power of two,
+so that the larger of the pair lies in [1, 2) (``_unit_gammas``).  The
+scaling is exact outside the subnormal range, so it moves no fixed point,
+but the tolerances are read in those units: a verdict does not depend on the
+unit the payoffs are written in, and no gradient can overflow.
+
 ``find_ne`` runs cyclic best-response dynamics from random starts.  The
 seeds of a block sweep together in numpy steps, with the per-seed loop's
 arithmetic term for term and math.hypot for every norm, so each fixed point
@@ -115,23 +121,40 @@ def _payoff_gradient(gp: GammaPair, u: Vec3, v: Vec3) -> Vec3:
     )
 
 
+def _unit_gammas(game: SymmetricGame) -> tuple[GammaPair, int]:
+    """The game's invariants times 2**-k, with the larger in [1, 2), and k.
+
+    The six constants are first scaled below 1/4 in size, so that forming
+    the pair cannot overflow, and the pair is then scaled into [1, 2).  Both
+    steps multiply by powers of two, which is exact unless a result is
+    subnormal.  A zero pair stays zero.
+    """
+    constants = game.constants()
+    k = math.frexp(max(map(abs, constants)))[1] + 2
+    gp = gammas(SymmetricGame(*(math.ldexp(c, -k) for c in constants)))
+    peak = max(abs(gp.gamma1), abs(gp.gamma2))
+    if peak:
+        j = math.frexp(peak)[1] - 1
+        gp = GammaPair(math.ldexp(gp.gamma1, -j), math.ldexp(gp.gamma2, -j))
+        k += j
+    return gp, k
+
+
 def _respond(gp: GammaPair, u: Vec3, v: Vec3) -> tuple[Vec3, float, Vec3 | None]:
     """The payoff gradient against opponents u and v, its norm, and the best
     response: the normalized gradient, or None when the norm is at most
     GRADIENT_TOL and every direction is optimal.
 
-    A finite norm above GRADIENT_TOL normalizes to a unit vector within a few
-    ulps, so the response needs no validation.  A norm that overflowed is
-    passed through Direction, which rejects it with NotUnitError.
+    ``gp`` is a _unit_gammas pair, so each gradient component is at most 4
+    in size and GRADIENT_TOL is read in those units.  A norm above
+    GRADIENT_TOL normalizes to a unit vector within a few ulps, so the
+    response needs no validation.
     """
     grad = _payoff_gradient(gp, u, v)
     norm = math.hypot(*grad)
     if norm <= GRADIENT_TOL:
         return grad, norm, None
-    response = (grad[0] / norm, grad[1] / norm, grad[2] / norm)
-    if not math.isfinite(norm):
-        response = Direction(*response).components()
-    return grad, norm, response
+    return grad, norm, (grad[0] / norm, grad[1] / norm, grad[2] / norm)
 
 
 def payoff_diff(
@@ -165,10 +188,11 @@ def best_response(
 
     ``others`` lists the remaining players in A, B, C order.  Returns the
     normalized payoff gradient, or None when the gradient vanishes and every
-    direction is optimal (full indifference).
+    direction is optimal (full indifference), with GRADIENT_TOL read in the
+    units of _unit_gammas.
     """
     player_index(player)
-    response = _respond(gammas(game), others[0].components(), others[1].components())[2]
+    response = _respond(_unit_gammas(game)[0], others[0].components(), others[1].components())[2]
     return None if response is None else Direction(*response)
 
 
@@ -193,7 +217,8 @@ class NEReport:
 
     ``best_responses`` maps player to their payoff-maximizing direction, or
     None for full indifference.  ``witness`` is present exactly when the
-    verdict is not_ne, and its gain exceeds GAIN_TOL.
+    verdict is not_ne.  Its gain is in payoff units and exceeds GAIN_TOL * 2**k,
+    with k from _unit_gammas; a gain beyond the float range is inf.
     """
 
     verdict: str
@@ -207,9 +232,16 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
     Strict requires every player's gradient to be nonzero and aligned with
     the played direction within ALIGN_TOL_RAD.  A deviation gaining more than
     GAIN_TOL yields not_ne with the best response as witness (largest gain,
-    ties broken in player order).  Everything else is weak.
+    ties broken in player order).  Everything else is weak.  The gradients
+    and gains are tested in the units of _unit_gammas, so scaling the six
+    constants by a power of two keeps the verdict, and so does any other
+    positive factor unless a margin sits at a tolerance.
     """
-    gp = gammas(game)
+    return _verify(*_unit_gammas(game), profile)
+
+
+def _verify(gp: GammaPair, k: int, profile: DirectionProfile) -> NEReport:
+    """verify_ne's report, given the game's _unit_gammas pair and its k."""
     best: dict[str, Direction | None] = {}
     rows: list[tuple[str, Direction | None, float, bool]] = []
     for player in PLAYERS:
@@ -226,8 +258,11 @@ def verify_ne(game: SymmetricGame, profile: DirectionProfile) -> NEReport:
         rows.append((player, best[player], gain, _angle_between(own, response) <= ALIGN_TOL_RAD))
     worst = max(rows, key=lambda row: row[2])
     if worst[2] > GAIN_TOL:
-        witness = DeviationWitness(worst[0], worst[1], worst[2])
-        return NEReport(NOT_NE, best, witness)
+        try:
+            gain = math.ldexp(worst[2], k)
+        except OverflowError:
+            gain = math.inf
+        return NEReport(NOT_NE, best, DeviationWitness(worst[0], worst[1], gain))
     if all(response is not None and aligned for _, response, _, aligned in rows):
         return NEReport(STRICT, best, None)
     return NEReport(WEAK, best, None)
@@ -263,10 +298,10 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3], sweeps: int) -> lis
     the chord for chords below 2**-26, and is at least the chord above it,
     where both exceed SWEEP_MOVE_TOL.
 
-    _sweep_batch runs the same sweep for many seeds at once, with the same
+    _sweep_block runs the same sweep for many seeds at once, with the same
     bits, and hands its last seeds to this loop with the sweeps they have
-    left.  Nothing here builds a Direction (only _respond does, to reject an
-    overflowed norm).
+    left.  ``gp`` is a _unit_gammas pair, so no norm can overflow, and
+    nothing here builds a Direction.
     """
     for _ in range(sweeps):
         moved = 0.0
@@ -310,26 +345,11 @@ def _sweep_block(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None]:
     """The fixed point of each seed of a block, or None, in seed order.
 
     ``starts`` has one row per seed: A's, then B's, then C's start
-    components.  A block of at least _HANDOFF seeds is swept by
-    _sweep_batch; a smaller one, or one whose batch met a norm that is not
-    finite, goes seed by seed through _iterate_best_responses from its
-    starts, which raises on such a norm as it always has.
-    """
-    if len(starts) >= _HANDOFF:
-        fixed = _sweep_batch(gp, starts)
-        if fixed is not None:
-            return fixed
-    return [_iterate_best_responses(gp, _triples(row), MAX_SWEEPS) for row in starts.tolist()]
-
-
-def _sweep_batch(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None] | None:
-    """_sweep_block's result for a block, with its sweeps run in numpy steps;
-    None if a gradient norm is not finite.
-
-    Every unconverged seed advances one sweep per step, with the arithmetic
-    of _payoff_gradient and _respond term for term and each norm taken by
-    math.hypot, so every seed follows the path the per-seed loop would.
-    Once fewer than _HANDOFF seeds are left they continue in
+    components, and ``gp`` is a _unit_gammas pair.  While at least _HANDOFF
+    seeds are unconverged, each advances one sweep per numpy step, with the
+    arithmetic of _payoff_gradient and _respond term for term and each norm
+    taken by math.hypot, so every seed follows the path the per-seed loop
+    would.  The rest, all of a block smaller than _HANDOFF, continue in
     _iterate_best_responses with the sweeps that remain of MAX_SWEEPS.
     """
     import numpy as np
@@ -340,29 +360,26 @@ def _sweep_batch(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None] |
     cols = list(starts.T.copy())
     done_sweeps = 0
     gamma1, gamma2, minus_gamma2 = gp.gamma1, gp.gamma2, -gp.gamma2
-    with np.errstate(all="ignore"):
-        while len(active) >= _HANDOFF and done_sweeps < MAX_SWEEPS:
-            done_sweeps += 1
-            converged = np.ones(len(active), dtype=bool)
-            for own, i, j in _UPDATES:
-                u1, u2, u3 = cols[3 * i:3 * i + 3]
-                v1, v2, v3 = cols[3 * j:3 * j + 3]
-                grad = (gamma2 * (u1 * v1 - u2 * v2), minus_gamma2 * (u1 * v2 + u2 * v1), gamma1 * (u3 + v3))
-                norm = _hypot(*grad)
-                if not np.isfinite(norm).all():
-                    return None
-                moves = norm > GRADIENT_TOL
-                divisor = np.where(moves, norm, 1.0)
-                d = cols[3 * own:3 * own + 3]
-                response = [np.where(moves, g / divisor, c) for g, c in zip(grad, d)]
-                converged &= _hypot(*(c - r for c, r in zip(d, response))) < SWEEP_MOVE_TOL
-                cols[3 * own:3 * own + 3] = response
-            if converged.any():
-                rows = np.array(cols).T[converged].tolist()
-                for seed, row in zip(active[converged].tolist(), rows):
-                    fixed[seed] = _triples(row)
-                active = active[~converged]
-                cols = [c[~converged] for c in cols]
+    while len(active) >= _HANDOFF and done_sweeps < MAX_SWEEPS:
+        done_sweeps += 1
+        converged = np.ones(len(active), dtype=bool)
+        for own, i, j in _UPDATES:
+            u1, u2, u3 = cols[3 * i:3 * i + 3]
+            v1, v2, v3 = cols[3 * j:3 * j + 3]
+            grad = (gamma2 * (u1 * v1 - u2 * v2), minus_gamma2 * (u1 * v2 + u2 * v1), gamma1 * (u3 + v3))
+            norm = _hypot(*grad)
+            moves = norm > GRADIENT_TOL
+            divisor = np.where(moves, norm, 1.0)
+            d = cols[3 * own:3 * own + 3]
+            response = [np.where(moves, g / divisor, c) for g, c in zip(grad, d)]
+            converged &= _hypot(*(c - r for c, r in zip(d, response))) < SWEEP_MOVE_TOL
+            cols[3 * own:3 * own + 3] = response
+        if converged.any():
+            rows = np.array(cols).T[converged].tolist()
+            for seed, row in zip(active[converged].tolist(), rows):
+                fixed[seed] = _triples(row)
+            active = active[~converged]
+            cols = [c[~converged] for c in cols]
     for seed, row in zip(active.tolist(), np.array(cols).T.tolist()):
         fixed[seed] = _iterate_best_responses(gp, _triples(row), MAX_SWEEPS - done_sweeps)
     return fixed
@@ -371,8 +388,9 @@ def _sweep_batch(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None] |
 def _fixed_points(gp: GammaPair, seeds: int, rng: np.random.Generator) -> Iterator[list[Vec3] | None]:
     """Each seed's fixed point, or None when it did not converge, in seed order.
 
-    The starts are drawn _SEED_BLOCK seeds at a time, the next three
-    random_directions rows per seed, and each block is swept by _sweep_block.
+    ``gp`` is a _unit_gammas pair.  The starts are drawn _SEED_BLOCK seeds
+    at a time, the next three random_directions rows per seed, and each
+    block is swept by _sweep_block.
     """
     for first in range(0, seeds, _SEED_BLOCK):
         count = min(_SEED_BLOCK, seeds - first)
@@ -399,7 +417,10 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     how seeds are grouped.  Each converged fixed point, in seed order, joins
     the earliest cluster whose representative is within DEDUP_TOL_RAD of it
     for every player, or else starts a new cluster.  Clusters are classified
-    with verify_ne and returned in first-seen seed order.
+    as verify_ne does and returned in first-seen seed order.  The dynamics
+    and the verdicts share one _unit_gammas pair, so scaling the six
+    constants by a power of two keeps every verdict, and every fixed point's
+    bits unless a gradient component is subnormal.
 
     Candidate clusters are looked up by the cell of A's first component, so
     the dedup cost is near-linear in seeds unless many fixed points share
@@ -420,7 +441,8 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     cell = 2.0 * DEDUP_TOL_RAD
     cells: dict[int, list[int]] = {}
     failed: list[int] = []
-    for seed_index, fixed in enumerate(_fixed_points(gammas(game), seeds, rng)):
+    gp, k = _unit_gammas(game)
+    for seed_index, fixed in enumerate(_fixed_points(gp, seeds, rng)):
         if fixed is None:
             failed.append(seed_index)
             continue
@@ -437,7 +459,7 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     equilibria = []
     for fixed, hits in clusters:
         profile = DirectionProfile(*(Direction(*d) for d in fixed))
-        equilibria.append(FoundEquilibrium(profile, verify_ne(game, profile), tuple(hits)))
+        equilibria.append(FoundEquilibrium(profile, _verify(gp, k, profile), tuple(hits)))
     return SearchResult(tuple(equilibria), tuple(failed))
 
 
@@ -465,9 +487,10 @@ def case_b_check(game: SymmetricGame, profile: DirectionProfile) -> bool:
     """True in the fully degenerate regime: gamma2 = 0 and an in-plane profile.
 
     There every deviation margin vanishes identically, so verify_ne reports
-    weak for every in-plane profile.
+    weak for every in-plane profile.  gamma2 is compared with GRADIENT_TOL
+    in the units of _unit_gammas, as verify_ne compares gradient norms.
     """
-    return abs(gammas(game).gamma2) <= GRADIENT_TOL and in_plane(profile)
+    return abs(_unit_gammas(game)[0].gamma2) <= GRADIENT_TOL and in_plane(profile)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,31 @@ def deviation_payoffs(
         )
         total += prob * general.payoff(outcome).for_player(player)
     return total
+
+
+def exact_verdict(game: SymmetricGame, profile) -> str:
+    """verify_ne's verdict, decided in rational arithmetic without tolerances.
+
+    ``profile`` is three rational unit vectors (a, b, c), as triples of
+    numbers that Fraction takes exactly.  The game's constants are read as
+    the exact values of their floats.  A player with gradient g, playing d,
+    is indifferent when g = 0 and aligned when g x d = 0 and g.d > 0; any
+    other player has a deviation that gains, and then the verdict is not_ne.
+    """
+    a, b, d, e, t, w = map(Fraction, game.constants())
+    g1, g2 = a - b - e + w, a - 2 * d - b + e + 2 * t - w
+    dirs = [tuple(map(Fraction, x)) for x in profile]
+    verdict = "strict"
+    for own, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        (u1, u2, u3), (v1, v2, v3), (x1, x2, x3) = dirs[i], dirs[j], dirs[own]
+        g = (g2 * (u1 * v1 - u2 * v2), -g2 * (u1 * v2 + u2 * v1), g1 * (u3 + v3))
+        if not any(g):
+            verdict = "weak"
+            continue
+        cross = (g[1] * x3 - g[2] * x2, g[2] * x1 - g[0] * x3, g[0] * x2 - g[1] * x1)
+        if any(cross) or g[0] * x1 + g[1] * x2 + g[2] * x3 <= 0:
+            return "not_ne"
+    return verdict
 
 
 # hypothesis strategies -------------------------------------------------------

@@ -317,25 +317,58 @@ def test_ne_find_rejects_negative_rng_seed(capsys, pd_file):
     assert "--rng-seed" in err and "Traceback" not in err
 
 
-#: Every constant is finite, but gamma1 and gamma2 overflow to inf or nan.
-OVERFLOW_FILE_CONTENT = {
+#: Every constant is finite, but gamma1 and gamma2 overflow in payoff units.
+BIG_FILE_CONTENT = {
     "type": "symmetric",
     "alpha": 1e308, "beta": -1e308, "delta": 1e308, "epsilon": -1e308, "theta": 1e308, "omega": -1e308,
 }
 
 
+def _ne_verdicts(out: str, fmt: str) -> list[str]:
+    """The verdicts in an ne report, in report order."""
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        if "report" in results:
+            return [results["report"]["verdict"]]
+        return [eq["report"]["verdict"] for eq in results["equilibria"]]
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        return [row[1] for row in rows if row[0] == "verdict" or row[0].isdigit()]
+    return [line.split()[1] for line in out.splitlines() if line.startswith(("verdict:", "  ["))]
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-@pytest.mark.parametrize("subaction", [
-    ["find", "--seeds", "4"],
-    ["verify", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"],
+@pytest.mark.parametrize("subaction, verdicts", [
+    (["find", "--seeds", "4"], [nash.STRICT] * 2),
+    (["verify", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"], [nash.STRICT]),
 ], ids=["find", "verify"])
-def test_ne_on_overflowing_constants_exits_2(capsys, tmp_path, subaction, fmt):
+def test_ne_near_the_float_maximum_exits_0(capsys, tmp_path, subaction, verdicts, fmt):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(OVERFLOW_FILE_CONTENT), encoding="utf-8")
-    code, out, err = run_cli(capsys, ["ne", str(path), *subaction, "--format", fmt])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: payoff constants are too large for the equilibrium algebra")
-    assert "Traceback" not in err
+    path.write_text(json.dumps(BIG_FILE_CONTENT), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["ne", str(path), *subaction, "--format", fmt, "--deterministic"])
+    assert (code, err) == (0, "")
+    assert _ne_verdicts(out, fmt) == verdicts
+
+
+#: gamma1 = 4 * M with M the largest float; at (-z, z, z) A gains 2 * M, beyond the float range.
+HUGE_FILE_CONTENT = {
+    "type": "symmetric",
+    "alpha": sys.float_info.max, "beta": -sys.float_info.max, "delta": 0,
+    "epsilon": -sys.float_info.max, "theta": 0, "omega": sys.float_info.max,
+}
+
+
+@pytest.mark.parametrize("fmt, gain", [
+    ("table", "for gain inf\n"), ("csv", 'gain inf"\n'), ("json", '"gain": Infinity,'),
+])
+def test_ne_verify_prints_a_gain_beyond_the_float_range_as_inf(capsys, tmp_path, fmt, gain):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_FILE_CONTENT), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["ne", str(path), "verify", "--a", "0,0,-1", "--b", "0,0,1", "--c", "0,0,1",
+                                      "--format", fmt, "--deterministic"])
+    assert (code, err) == (0, "")
+    assert _ne_verdicts(out, fmt) == [nash.NOT_NE]
+    assert gain in out
 
 
 #: The largest float for all six constants: any expectation whose weights

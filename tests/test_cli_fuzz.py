@@ -9,6 +9,7 @@ must return 0, 2, 3, 4 or 5 and raise nothing.
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -37,6 +38,7 @@ GAME_FILES = {
     "zero": _symmetric(0, 0, 0, 0, 0, 0),
     "big": _symmetric(1e308, -1e308, 1e308, -1e308, 1e308, -1e308),
     "big_negative": _symmetric(-1e308, 1e308, -1e308, 1e308, -1e308, 1e308),
+    "huge": _symmetric(*(m * sys.float_info.max for m in (1, -1, 0, -1, 0, 1))),
     "general_pd": _general(PD_GENERAL_ENTRIES),
     "general_big": _general([{**e, "payoffs": [1e308, -1e308, 1e308]} for e in PD_GENERAL_ENTRIES]),
     "asymmetric": _general(PD_GENERAL_ENTRIES[:7] + [{"strategies": ["S2", "S2", "S2"], "payoffs": [1, 2, 1]}]),
@@ -118,6 +120,7 @@ def game_dir(tmp_path_factory):
 @given(argv=argvs())
 @example(argv=["ne", "GAME:big", "find", "--seeds", "4"])
 @example(argv=["ne", "GAME:big", "verify", "--a", "1,0,0", "--b", "1,0,0", "--c", "1,0,0"])
+@example(argv=["ne", "GAME:huge", "verify", "--a", "0,0,-1", "--b", "0,0,1", "--c", "0,0,1", "--format", "json"])
 @example(argv=["probs", "--spherical", "--a=inf,1", "--b", "0,0", "--c", "0,0"])
 @example(argv=["ne", "GAME:pd", "find", "--rng-seed", "-1"])
 def test_every_argv_ends_in_a_documented_exit_code(game_dir, argv):

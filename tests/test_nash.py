@@ -1,4 +1,7 @@
 import math
+import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from ghzgames.core import (
     Direction,
     DirectionProfile,
     NotInPlaneError,
-    NotUnitError,
     SymmetricGame,
     X_AXIS,
     Y_AXIS,
@@ -19,6 +21,7 @@ from support import (
     DEGENERATE,
     PD,
     deviation_payoffs,
+    exact_verdict,
     fibonacci_sphere,
     random_direction,
     random_inplane_profile,
@@ -32,6 +35,18 @@ ALL_Z = DirectionProfile(Z_AXIS, Z_AXIS, Z_AXIS)
 ZZ_MINUS_Z = DirectionProfile(Z_AXIS, Z_AXIS, MINUS_Z)
 #: gamma1 = 12 > 0 and gamma2 = 20: every start runs to one of two pole profiles.
 TWO_POLE = SymmetricGame(6, -4, -7, 4, -1, 6)
+#: A rational point of the dilemma's strict continuum: c's azimuth is -(phi_a + phi_b).
+CONTINUUM_RATIONAL = (
+    (Fraction(5, 13), Fraction(12, 13), 0),
+    (Fraction(3, 5), Fraction(-4, 5), 0),
+    (Fraction(63, 65), Fraction(-16, 65), 0),
+)
+CONTINUUM = DirectionProfile(*(Direction(*map(float, d)) for d in CONTINUUM_RATIONAL))
+#: Positive factors for the six constants, by name; none may change a verdict.
+SCALES = {
+    "0.25": 0.25, "3": 3.0, "1e6": 1e6, "1e-9": 1e-9, "3.7e11": 3.7e11,
+    "2^-60": 2.0**-60, "2^40": 2.0**40, "2^60": 2.0**60,
+}
 
 GRID = fibonacci_sphere(10_000)
 
@@ -39,6 +54,10 @@ GRID = fibonacci_sphere(10_000)
 def _angle(d: Direction, e: Direction) -> float:
     chord = math.hypot(d.a1 - e.a1, d.a2 - e.a2, d.a3 - e.a3)
     return 2.0 * math.asin(min(1.0, chord / 2.0))
+
+
+def _scaled(g: SymmetricGame, scale: float) -> SymmetricGame:
+    return SymmetricGame(*(scale * v for v in g.constants()))
 
 
 def _triples(profile: DirectionProfile | None):
@@ -173,14 +192,22 @@ def _others(profile: DirectionProfile, player: str) -> tuple[Direction, Directio
     return {"A": (profile.b, profile.c), "B": (profile.a, profile.c), "C": (profile.a, profile.b)}[player]
 
 
+#: Just off -z: against (z, this), A's gradient norm is about 1e-13 in the
+#: units of the scaled pair, and 2**40 times that in the dilemma x 2**40.
+NEAR_MINUS_Z = Direction(math.sqrt(1.0 - (1.0 - 1e-13) ** 2), 0.0, -(1.0 - 1e-13))
+
+
 def test_verify_ne_reports_the_best_response_of_every_player():
     rng = np.random.default_rng(34)
+    between_tolerances = DirectionProfile(X_AXIS, Z_AXIS, NEAR_MINUS_Z)
     cases = [(PD, ZZ_MINUS_Z), (SymmetricGame(0, 0, 0, 0, 0, 0), random_profile(rng))]
     cases += [(random_symmetric_game(rng), random_profile(rng)) for _ in range(100)]
+    cases += [(_scaled(PD, 2.0**40), between_tolerances)]
     for g, profile in cases:
         report = nash.verify_ne(g, profile)
         for player in ("A", "B", "C"):
             assert report.best_responses[player] == nash.best_response(g, _others(profile, player), player)
+    assert nash.verify_ne(_scaled(PD, 2.0**40), between_tolerances).best_responses["A"] is None
 
 
 def test_verify_all_x_strict():
@@ -242,10 +269,50 @@ def test_verify_ne_sound_against_grid_scan():
 
 
 def test_verdicts_invariant_under_positive_scaling():
-    for scale in (0.25, 3.0):
-        scaled = SymmetricGame(*(scale * v for v in PD.constants()))
-        for profile in (ALL_X, ALL_Z, ZZ_MINUS_Z):
-            assert nash.verify_ne(scaled, profile).verdict == nash.verify_ne(PD, profile).verdict
+    for scale in SCALES.values():
+        for profile in (ALL_X, ALL_Z, ZZ_MINUS_Z, CONTINUUM):
+            assert nash.verify_ne(_scaled(PD, scale), profile).verdict == nash.verify_ne(PD, profile).verdict
+
+
+#: Rational profiles, exact for the oracle; their floats are the module's profiles.
+_RATIONAL_PROFILES = {
+    "all_x": ((1, 0, 0),) * 3,
+    "all_z": ((0, 0, 1),) * 3,
+    "z_z_minus_z": ((0, 0, 1), (0, 0, 1), (0, 0, -1)),
+    "continuum": CONTINUUM_RATIONAL,
+}
+
+
+@pytest.mark.parametrize("scale", ["1", *SCALES])
+@pytest.mark.parametrize("g", [PD, TWO_POLE], ids=["PD", "TWO_POLE"])
+@pytest.mark.parametrize("name", sorted(_RATIONAL_PROFILES))
+def test_verify_ne_agrees_with_the_exact_verdict(name, g, scale):
+    rational = _RATIONAL_PROFILES[name]
+    profile = DirectionProfile(*(Direction(*map(float, d)) for d in rational))
+    scaled = _scaled(g, SCALES.get(scale, 1.0))
+    assert nash.verify_ne(scaled, profile).verdict == exact_verdict(scaled, rational)
+
+
+def test_exact_verdicts_of_the_dilemma_landmarks():
+    verdicts = {name: exact_verdict(PD, rational) for name, rational in _RATIONAL_PROFILES.items()}
+    assert verdicts == {"all_x": nash.STRICT, "all_z": nash.NOT_NE, "z_z_minus_z": nash.WEAK, "continuum": nash.STRICT}
+
+
+def test_a_witness_gain_beyond_the_float_range_is_inf():
+    # gamma1 = 4 * M overflows in payoff units, and so does A's gain, 2 * M.
+    m = sys.float_info.max
+    report = nash.verify_ne(SymmetricGame(m, -m, 0, -m, 0, m), DirectionProfile(MINUS_Z, Z_AXIS, Z_AXIS))
+    assert report.verdict == nash.NOT_NE
+    assert (report.witness.player, report.witness.direction, report.witness.gain) == ("A", Z_AXIS, math.inf)
+
+
+def test_constants_at_the_float_maximum_give_weak_verdicts():
+    # gamma1 = gamma2 = 0, but 2 * delta overflows in payoff units.
+    flat = SymmetricGame(*[sys.float_info.max] * 6)
+    assert nash.verify_ne(flat, ALL_X).verdict == nash.WEAK
+    result = nash.find_ne(flat, 16, 0)
+    assert len(result.equilibria) == 16
+    assert all(eq.report.verdict == nash.WEAK for eq in result.equilibria)
 
 
 # find_ne ---------------------------------------------------------------------
@@ -462,7 +529,7 @@ def test_find_ne_dedup_work_on_two_pole_game(monkeypatch):
 def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
     # Each dilemma seed converges in two sweeps of three best responses.
     # Below the hand-off every one of them goes through nash._respond; at it,
-    # the batched sweeps make none.  verify_ne then makes three per cluster.
+    # the batched sweeps make none.  Each cluster's verdict then makes three.
     calls = 0
     respond = nash._respond
 
@@ -481,7 +548,7 @@ def test_find_ne_looks_up_best_response_through_the_module(monkeypatch):
 
 def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
     # Per cluster three representative directions and at most three
-    # verify_ne responses; the starts, the updates and the dedup build none,
+    # verdict responses; the starts, the updates and the dedup build none,
     # whether the seeds sweep one by one (24) or batched (256).
     built = 0
     post_init = Direction.__post_init__
@@ -499,7 +566,7 @@ def test_find_ne_builds_directions_only_at_the_boundary(monkeypatch):
 
 
 def test_find_ne_computes_gammas_once_for_all_seeds(monkeypatch):
-    # Once for the dynamics, and once in each cluster's verify_ne.
+    # Once, for the pair that the dynamics and every cluster's verdict share.
     calls = 0
     gammas = nash.gammas
 
@@ -509,8 +576,8 @@ def test_find_ne_computes_gammas_once_for_all_seeds(monkeypatch):
         return gammas(game)
 
     monkeypatch.setattr(nash, "gammas", counting)
-    result = nash.find_ne(TWO_POLE, 256, 0)
-    assert calls == 1 + len(result.equilibria)
+    nash.find_ne(TWO_POLE, 256, 0)
+    assert calls == 1
 
 
 # find_ne against the Direction-based reference dynamics -----------------------
@@ -595,15 +662,36 @@ def test_find_ne_spends_the_sweep_budget_across_the_handoff(monkeypatch, max_swe
     assert repr(result) == repr(expected)
 
 
-def test_find_ne_overflow_raises_as_the_reference_does(monkeypatch):
-    # 4 seeds sweep one by one; the larger block meets the overflow batched.
+def test_find_ne_near_the_float_maximum_matches_the_reference(monkeypatch):
+    # gamma1 and gamma2 overflow in payoff units, but not as the scaled pair.
+    # 4 seeds sweep one by one; the larger block sweeps batched.
     g = SymmetricGame(1e308, -1e308, 1e308, -1e308, 1e308, -1e308)
     for seeds in (4, 2 * nash._HANDOFF + 5):
-        with pytest.raises(NotUnitError) as expected:
-            _reference_find_ne(monkeypatch, g, seeds, 0)
-        with pytest.raises(NotUnitError) as raised:
-            nash.find_ne(g, seeds, 0)
-        assert str(raised.value) == str(expected.value)
+        result = nash.find_ne(g, seeds, 0)
+        assert [eq.report.verdict for eq in result.equilibria] == [nash.STRICT] * 2
+        assert repr(result) == repr(_reference_find_ne(monkeypatch, g, seeds, 0))
+
+
+def _gain_scaled(report, k):
+    """``report`` with its witness gain, if any, multiplied by 2**k."""
+    w = report.witness
+    return report if w is None else replace(report, witness=replace(w, gain=math.ldexp(w.gain, k)))
+
+
+_POWER_GAMES = [PD, TWO_POLE, DEGENERATE] + [random_symmetric_game(np.random.default_rng(200 + k)) for k in range(3)]
+
+
+@pytest.mark.parametrize("index", range(len(_POWER_GAMES)))
+def test_search_and_verdicts_keep_their_bits_under_power_of_two_scaling(index):
+    # Only witness gains, which are in payoff units, scale.
+    g = _POWER_GAMES[index]
+    found = nash.find_ne(g, 64, 0)
+    for k in (-60, 40, 60):
+        scaled = SymmetricGame(*(math.ldexp(v, k) for v in g.constants()))
+        expected = [replace(eq, report=_gain_scaled(eq.report, k)) for eq in found.equilibria]
+        assert repr(nash.find_ne(scaled, 64, 0)) == repr(replace(found, equilibria=tuple(expected)))
+        for profile in (ALL_X, ALL_Z, ZZ_MINUS_Z, CONTINUUM):
+            assert repr(nash.verify_ne(scaled, profile)) == repr(_gain_scaled(nash.verify_ne(g, profile), k))
 
 
 # the convergence test on the chord --------------------------------------------
@@ -698,6 +786,15 @@ def test_case_b_check_degenerate_fixture():
 
 def test_case_b_check_pd_fails_on_gamma2():
     assert not nash.case_b_check(PD, ALL_X)
+
+
+def test_case_b_check_reads_gamma2_in_the_units_of_the_verdicts():
+    # gamma2 = 1 against gamma1 = 1 and -1; at x 1e-13 it is below
+    # GRADIENT_TOL in payoff units, but not in those of the scaled pair.
+    for g in (SymmetricGame(2, 1, 0, 0, 0, 0), PD):
+        for scale in (1e-13, *SCALES.values()):
+            assert not nash.case_b_check(_scaled(g, scale), ALL_X)
+            assert nash.verify_ne(_scaled(g, scale), ALL_X).verdict == nash.STRICT
 
 
 def test_case_b_check_fails_out_of_plane():
