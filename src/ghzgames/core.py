@@ -108,32 +108,27 @@ def make_direction(a1: float, a2: float, a3: float, normalize: bool = False) -> 
     return Direction(a1, a2, a3)
 
 
-#: At most this many normal 3-vectors are drawn per numpy call in
-#: random_directions, so its memory stays flat in the count.
-_DRAW_BLOCK = 3 * 1024
-
-
 def random_directions(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` directions drawn uniformly from the sphere, as the rows of a
     (count, 3) array.
 
     Each is a standard normal 3-vector divided by its norm; a vector with norm
-    at most 1e-12 (practically unreachable) is skipped for the next one.  The
-    vectors are the rows of ``rng.normal(size=(n, 3))`` calls with n at most
-    _DRAW_BLOCK.  Such a call consumes the normal stream as n successive
-    ``rng.normal(size=3)`` calls do, so the directions do not depend on the
-    block size.  The rows are normalized together, with the bits that
-    ``math.sqrt(v.dot(v))`` and a Python division give row by row: the
-    stacked product ``v[:, None, :] @ v[:, :, None]`` goes to the same dot
-    kernel as ``v.dot(v)``, and sqrt and division are correctly rounded in
-    numpy as in Python.  (An ``einsum`` or a plain sum of squares rounds
-    differently.)
+    at most 1e-12 (practically unreachable) is skipped, and one more is drawn
+    in its place.  The vectors are the rows of ``rng.normal(size=(n, 3))``
+    calls.  Such a call consumes the normal stream as n successive
+    ``rng.normal(size=3)`` calls do, so successive calls draw the same
+    directions as one call for all of them.  The rows are normalized
+    together, with the bits that ``math.sqrt(v.dot(v))`` and a Python
+    division give row by row: the stacked product ``v[:, None, :] @ v[:, :,
+    None]`` goes to the same dot kernel as ``v.dot(v)``, and sqrt and
+    division are correctly rounded in numpy as in Python.  (An ``einsum`` or
+    a plain sum of squares rounds differently.)
     """
     import numpy as np  # here, so that importing core (and the CLI) does not load numpy
 
     blocks = []
     while count > 0:
-        v = rng.normal(size=(min(count, _DRAW_BLOCK), 3))
+        v = rng.normal(size=(count, 3))
         norm = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
         if norm.min() <= 1e-12:
             v, norm = v[norm > 1e-12], norm[norm > 1e-12]

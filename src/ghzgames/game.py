@@ -1,9 +1,9 @@
 """Payoff evaluation and distribution analysis for the three-player game.
 
 Covers the classical mixed-strategy expectation, the quantum expectation over
-direction profiles, the X-Y-plane special case, the test of whether a quantum
-distribution can be reproduced by independent mixed strategies, and the
-enumeration of classical pure-strategy equilibria.  Every payoff here is one
+direction profiles, the test of whether a quantum distribution can be
+reproduced by independent mixed strategies, and the enumeration of
+classical pure-strategy equilibria.  Every payoff here is one
 expectation of the table rows under some weighting of the eight outcomes
 (``expected_payoffs``).
 """
@@ -25,9 +25,6 @@ from .core import (
     MixedProfile,
     OutcomeTriple,
     PayoffTriple,
-    SymmetricGame,
-    require_inplane,
-    symmetric_to_general,
 )
 
 #: Residual tolerance for the eight-equation factorizability check; looser
@@ -74,19 +71,6 @@ def classical_payoffs(game: GeneralGame, mixed: MixedProfile) -> PayoffTriple:
 def quantum_payoffs(game: GeneralGame, profile: DirectionProfile) -> PayoffTriple:
     """Expected payoffs under the GHZ joint distribution for the profile."""
     return expected_payoffs(game, ghz.joint_distribution(profile).values)
-
-
-def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> PayoffTriple:
-    """Quantum payoffs for directions confined to the X-Y plane.
-
-    With all third components zero the eight outcome weights collapse to
-    (1 + m*l*k*D)/8, so the whole expectation is driven by the single
-    correlation term D.  Agrees with quantum_payoffs on the same inputs.
-    """
-    require_inplane(profile)
-    d = ghz.delta(profile)
-    weights = [0.125 * (1.0 + o.m * o.l * o.k * d) for o in OUTCOMES]
-    return expected_payoffs(symmetric_to_general(game), weights)
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,19 @@ That structure makes everything here exact:
   some player is indifferent or the margin is below tolerance), and not an
   equilibrium (a deviation gains more than GAIN_TOL, returned as a witness).
 
-The search and the verdicts run on the invariants scaled by a power of two,
-so that the larger of the pair lies in [1, 2) (``_unit_gammas``).  The
-scaling is exact outside the subnormal range, so it moves no fixed point,
-but the tolerances are read in those units: a verdict does not depend on the
-unit the payoffs are written in, and no gradient can overflow.
+The search, the verdicts and the payoff differences run on the invariants
+scaled by a power of two, so that the larger of the pair lies in [1, 2)
+(``_unit_gammas``).  The scaling is exact outside the subnormal range, so it
+moves no fixed point, but the tolerances are read in those units: a verdict
+does not depend on the unit the payoffs are written in, and no gradient can
+overflow.  Payoff differences and witness gains are scaled back to payoff
+units, saturating to +-inf (``_payoff_units``).
 
 ``find_ne`` runs cyclic best-response dynamics from random starts.  The
-seeds of a block sweep together in numpy steps, with the per-seed loop's
-arithmetic term for term and math.hypot for every norm, so each fixed point
-has the bits a seed would reach on its own; the last few seeds of a block,
-and blocks too small to batch, run in that per-seed loop.  The
+seeds of a block sweep together in numpy steps, through the same
+_payoff_gradient and with math.hypot for every norm, so each fixed point has
+the bits a seed would reach on its own; the last few seeds of a block, and
+blocks too small to batch, run in the per-seed loop.  The
 X-Y-plane constraint analysis (``case_a_constraints``, ``case_b_check``) and
 the generalized three-player dilemma gate (``check_pd``) round out the module.
 
@@ -64,14 +66,20 @@ GRADIENT_TOL = 1e-12
 ALIGN_TOL_RAD = 1e-9
 #: Deviations must gain more than this to defeat an equilibrium claim.
 GAIN_TOL = 1e-12
-#: A best-response sweep that moves every player less than this has converged.
-#: It is compared with the chord |d - r| of each move, not the angle: below
-#: 2**-26 the two are equal in floating point, and above it both exceed this.
+#: A best-response sweep that moves every player less than this angle has converged.
 SWEEP_MOVE_TOL = 1e-10
 #: Fixed points closer than this (max angle over players) are deduplicated.
 DEDUP_TOL_RAD = 1e-6
 #: Best-response sweeps per seed before giving up.
 MAX_SWEEPS = 10_000
+
+# Every distance between two directions is taken as their chord,
+# math.dist(d, e), not as their angle, twice the arcsine of half the chord.
+# Below 2**-26 the two are equal in floating point, and above it the angle is
+# at least the chord, so ALIGN_TOL_RAD and SWEEP_MOVE_TOL are compared with
+# the chord as they stand.  A chord is below _DEDUP_CHORD exactly when its
+# angle is below DEDUP_TOL_RAD.
+_DEDUP_CHORD = 2.0 * math.sin(DEDUP_TOL_RAD / 2.0)
 
 STRICT = "strict"
 WEAK = "weak"
@@ -157,6 +165,15 @@ def _respond(gp: GammaPair, u: Vec3, v: Vec3) -> tuple[Vec3, float, Vec3 | None]
     return grad, norm, (grad[0] / norm, grad[1] / norm, grad[2] / norm)
 
 
+def _payoff_units(value: float, k: int) -> float:
+    """A value in the units of the _unit_gammas pair with exponent k, in
+    payoff units: value * 2**k, saturated to +-inf beyond the float range."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def payoff_diff(
     game: SymmetricGame,
     starred: DirectionProfile,
@@ -168,15 +185,19 @@ def payoff_diff(
     Positive means the starred direction beats the alternative; equals the
     direct difference of quantum payoffs for that player.  The payoff is
     affine in the deviator's own direction, so the loss is the payoff
-    gradient dotted with the change of direction.
+    gradient dotted with the change of direction.  It is computed on the
+    _unit_gammas pair and scaled back, so constants near the float maximum
+    give a finite loss, or +-inf beyond the float range.
     """
+    gp, k = _unit_gammas(game)
     own, u, v = _split(starred, deviator)
-    grad = _payoff_gradient(gammas(game), u, v)
-    return (
+    grad = _payoff_gradient(gp, u, v)
+    loss = (
         grad[0] * (own[0] - alt.a1)
         + grad[1] * (own[1] - alt.a2)
         + grad[2] * (own[2] - alt.a3)
     ) / 8.0
+    return _payoff_units(loss, k)
 
 
 def best_response(
@@ -194,12 +215,6 @@ def best_response(
     player_index(player)
     response = _respond(_unit_gammas(game)[0], others[0].components(), others[1].components())[2]
     return None if response is None else Direction(*response)
-
-
-def _angle_between(d: Vec3, e: Vec3) -> float:
-    """Angle in radians between two unit vectors; stable for tiny angles."""
-    chord = math.hypot(d[0] - e[0], d[1] - e[1], d[2] - e[2])
-    return 2.0 * math.asin(min(1.0, chord / 2.0))
 
 
 @dataclass(frozen=True)
@@ -255,14 +270,10 @@ def _verify(gp: GammaPair, k: int, profile: DirectionProfile) -> NEReport:
         gain = (norm - (grad[0] * own[0] + grad[1] * own[1] + grad[2] * own[2])) / 8.0
         if gain < 0.0:
             gain = 0.0
-        rows.append((player, best[player], gain, _angle_between(own, response) <= ALIGN_TOL_RAD))
+        rows.append((player, best[player], gain, math.dist(own, response) <= ALIGN_TOL_RAD))
     worst = max(rows, key=lambda row: row[2])
     if worst[2] > GAIN_TOL:
-        try:
-            gain = math.ldexp(worst[2], k)
-        except OverflowError:
-            gain = math.inf
-        return NEReport(NOT_NE, best, DeviationWitness(worst[0], worst[1], gain))
+        return NEReport(NOT_NE, best, DeviationWitness(worst[0], worst[1], _payoff_units(worst[2], k)))
     if all(response is not None and aligned for _, response, _, aligned in rows):
         return NEReport(STRICT, best, None)
     return NEReport(WEAK, best, None)
@@ -293,11 +304,6 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3], sweeps: int) -> lis
     players in _UPDATES order, and indifferent players keep their current
     direction.  Returns None when ``sweeps`` sweeps pass without convergence.
 
-    A move is measured by its chord ``math.hypot(d - r)``, which gives the
-    same verdict as the angle _angle_between would: 2*asin(chord/2) equals
-    the chord for chords below 2**-26, and is at least the chord above it,
-    where both exceed SWEEP_MOVE_TOL.
-
     _sweep_block runs the same sweep for many seeds at once, with the same
     bits, and hands its last seeds to this loop with the sweeps they have
     left.  ``gp`` is a _unit_gammas pair, so no norm can overflow, and
@@ -308,8 +314,7 @@ def _iterate_best_responses(gp: GammaPair, dirs: list[Vec3], sweeps: int) -> lis
         for own, i, j in _UPDATES:
             response = _respond(gp, dirs[i], dirs[j])[2]
             if response is not None:
-                d = dirs[own]
-                chord = math.hypot(d[0] - response[0], d[1] - response[1], d[2] - response[2])
+                chord = math.dist(dirs[own], response)
                 if chord > moved:
                     moved = chord
                 dirs[own] = response
@@ -346,11 +351,12 @@ def _sweep_block(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None]:
 
     ``starts`` has one row per seed: A's, then B's, then C's start
     components, and ``gp`` is a _unit_gammas pair.  While at least _HANDOFF
-    seeds are unconverged, each advances one sweep per numpy step, with the
-    arithmetic of _payoff_gradient and _respond term for term and each norm
-    taken by math.hypot, so every seed follows the path the per-seed loop
-    would.  The rest, all of a block smaller than _HANDOFF, continue in
-    _iterate_best_responses with the sweeps that remain of MAX_SWEEPS.
+    seeds are unconverged, each advances one sweep per numpy step: each
+    update is _payoff_gradient on the column arrays, normalized as _respond
+    does with each norm taken by math.hypot, so every seed follows the path
+    the per-seed loop would.  The rest, all of a block smaller than
+    _HANDOFF, continue in _iterate_best_responses with the sweeps that
+    remain of MAX_SWEEPS.
     """
     import numpy as np
 
@@ -359,14 +365,11 @@ def _sweep_block(gp: GammaPair, starts: np.ndarray) -> list[list[Vec3] | None]:
     # cols[3 * p + k]: component k of player p, one entry per active seed.
     cols = list(starts.T.copy())
     done_sweeps = 0
-    gamma1, gamma2, minus_gamma2 = gp.gamma1, gp.gamma2, -gp.gamma2
     while len(active) >= _HANDOFF and done_sweeps < MAX_SWEEPS:
         done_sweeps += 1
         converged = np.ones(len(active), dtype=bool)
         for own, i, j in _UPDATES:
-            u1, u2, u3 = cols[3 * i:3 * i + 3]
-            v1, v2, v3 = cols[3 * j:3 * j + 3]
-            grad = (gamma2 * (u1 * v1 - u2 * v2), minus_gamma2 * (u1 * v2 + u2 * v1), gamma1 * (u3 + v3))
+            grad = _payoff_gradient(gp, cols[3 * i:3 * i + 3], cols[3 * j:3 * j + 3])
             norm = _hypot(*grad)
             moves = norm > GRADIENT_TOL
             divisor = np.where(moves, norm, 1.0)
@@ -399,8 +402,8 @@ def _fixed_points(gp: GammaPair, seeds: int, rng: np.random.Generator) -> Iterat
 
 
 def _profile_distance(p: list[Vec3], q: list[Vec3]) -> float:
-    """The largest angle between two fixed points' directions, over players."""
-    return max(map(_angle_between, p, q))
+    """The largest chord between two fixed points' directions, over players."""
+    return max(map(math.dist, p, q))
 
 
 def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
@@ -411,7 +414,7 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
     The three directions of each start are the next three rows of
     random_directions, which are the same directions as successive
     random_direction calls.  A seed has converged when one sweep moves every
-    player by a chord below SWEEP_MOVE_TOL.  The sweeps of a block of seeds
+    player by less than SWEEP_MOVE_TOL.  The sweeps of a block of seeds
     run together in numpy steps (_fixed_points), but each seed's fixed point
     has the bits it would have on its own, so the result does not depend on
     how seeds are grouped.  Each converged fixed point, in seed order, joins
@@ -436,8 +439,8 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
 
     rng = np.random.default_rng(rng_seed)
     clusters: list[tuple[list[Vec3], list[int]]] = []
-    # An angle is at least the chord, which is at least |delta a1|, so a
-    # cluster within DEDUP_TOL_RAD lies in the same or a neighbouring cell.
+    # A chord is at least |delta a1|, so a cluster within _DEDUP_CHORD
+    # lies in the same or a neighbouring cell.
     cell = 2.0 * DEDUP_TOL_RAD
     cells: dict[int, list[int]] = {}
     failed: list[int] = []
@@ -450,7 +453,7 @@ def find_ne(game: SymmetricGame, seeds: int, rng_seed: int) -> SearchResult:
         nearby = sorted(cells.get(key - 1, []) + cells.get(key, []) + cells.get(key + 1, []))
         for index in nearby:
             known, hits = clusters[index]
-            if _profile_distance(known, fixed) < DEDUP_TOL_RAD:
+            if _profile_distance(known, fixed) < _DEDUP_CHORD:
                 hits.append(seed_index)
                 break
         else:

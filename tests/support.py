@@ -17,9 +17,13 @@ from ghzgames.core import (
     DirectionProfile,
     GeneralGame,
     OutcomeTriple,
+    PayoffTriple,
     SymmetricGame,
     random_direction,
+    require_inplane,
+    symmetric_to_general,
 )
+from ghzgames.game import expected_payoffs
 
 PD = SymmetricGame(alpha=7, beta=9, delta=3, epsilon=0, theta=5, omega=1)
 #: Six constants with gamma2 = 0: fully degenerate in-plane regime.
@@ -104,6 +108,19 @@ def kz_probability(outcome: OutcomeTriple, profile: DirectionProfile) -> float:
         + l * k * b.a3 * c.a3
         + m * l * k * ghz.delta(profile)
     )
+
+
+def quantum_payoffs_inplane(game: SymmetricGame, profile: DirectionProfile) -> PayoffTriple:
+    """The paper's quantum payoffs for directions confined to the X-Y plane.
+
+    With all third components zero the eight outcome weights collapse to
+    (1 + m*l*k*D)/8, so the whole expectation is driven by the single
+    correlation term D.  Agrees with game.quantum_payoffs on the same inputs.
+    """
+    require_inplane(profile)
+    d = ghz.delta(profile)
+    weights = [0.125 * (1.0 + o.m * o.l * o.k * d) for o in OUTCOMES]
+    return expected_payoffs(symmetric_to_general(game), weights)
 
 
 def _player_split(outcome, player: str) -> tuple[int, int, int]:

@@ -33,6 +33,7 @@ from support import (
     deviation_payoffs,
     fibonacci_sphere,
     kz_probability,
+    quantum_payoffs_inplane,
     random_direction,
     random_inplane_profile,
     random_profile,
@@ -286,7 +287,7 @@ def test_criterion_11_symmetry_suite():
     for _ in range(100):
         g = random_symmetric_game(rng)
         profile = random_inplane_profile(rng)
-        via_plane = game.quantum_payoffs_inplane(g, profile)
+        via_plane = quantum_payoffs_inplane(g, profile)
         via_general = game.quantum_payoffs(symmetric_to_general(g), profile)
         worst_inplane = max(
             worst_inplane,

@@ -84,15 +84,21 @@ def _normalized_rows(rng, count):
     return rows
 
 
+def _drawn_in_calls(rng, count, block):
+    """``count`` random_directions rows, drawn in calls of at most ``block``
+    rows, as find_ne draws one block of seeds at a time (count 0: one call)."""
+    sizes = [min(block, count - first) for first in range(0, count, block)] or [0]
+    return [row for size in sizes for row in core.random_directions(rng, size).tolist()]
+
+
 @pytest.mark.parametrize("block", [1, 2, 4, 5, 3 * 1024])
 @pytest.mark.parametrize("count", [0, 1, 3, 7, 12, 3 * 1024 + 5])
-def test_random_directions_match_successive_random_direction_calls(monkeypatch, block, count):
+def test_random_directions_match_successive_random_direction_calls(block, count):
     # The reference is what successive random_direction calls return: one
     # size-3 draw each, normalized on its own.  Blocks of 4 or 5 end inside
     # a seed's three starts.
-    monkeypatch.setattr(core, "_DRAW_BLOCK", block)
     rng, reference = np.random.default_rng(17), np.random.default_rng(17)
-    assert repr(core.random_directions(rng, count).tolist()) == repr(_normalized_rows(reference, count))
+    assert repr(_drawn_in_calls(rng, count, block)) == repr(_normalized_rows(reference, count))
     assert rng.normal() == reference.normal()
 
 
@@ -124,6 +130,7 @@ class _RecordingGenerator:
 
 
 def test_find_ne_draws_at_most_a_block_of_rows_at_once(monkeypatch):
+    # One normal draw per block of seeds: three rows per seed.
     generators = []
     default_rng = np.random.default_rng
 
@@ -132,16 +139,16 @@ def test_find_ne_draws_at_most_a_block_of_rows_at_once(monkeypatch):
         return generators[-1]
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    nash.find_ne(PD, 2 * 1024 + 100, 0)
+    nash.find_ne(PD, 2 * nash._SEED_BLOCK + 100, 0)
     (generator,) = generators
-    assert max(rows for rows, _ in generator.sizes) <= core._DRAW_BLOCK
-    assert sum(rows for rows, _ in generator.sizes) == 3 * (2 * 1024 + 100)
+    assert generator.sizes == [(3 * nash._SEED_BLOCK, 3)] * 2 + [(300, 3)]
 
 
 def test_find_ne_draws_the_same_starts_whatever_the_block(monkeypatch):
-    expected = repr(nash.find_ne(PD, 20, 4))
-    monkeypatch.setattr(core, "_DRAW_BLOCK", 4)
-    assert repr(nash.find_ne(PD, 20, 4)) == expected
+    # 150 seeds sweep batched in one block, or one by one in blocks of 4.
+    expected = repr(nash.find_ne(PD, 150, 4))
+    monkeypatch.setattr(nash, "_SEED_BLOCK", 4)
+    assert repr(nash.find_ne(PD, 150, 4)) == expected
 
 
 class _ZeroFirst:
@@ -158,10 +165,9 @@ class _ZeroFirst:
 
 
 @pytest.mark.parametrize("block", [1, 2, 3 * 1024])
-def test_random_directions_skip_a_zero_vector_to_the_next_row(monkeypatch, block):
-    monkeypatch.setattr(core, "_DRAW_BLOCK", block)
+def test_random_directions_skip_a_zero_vector_to_the_next_row(block):
     rng = _ZeroFirst([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    assert core.random_directions(rng, 2).tolist() == [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]]
+    assert _drawn_in_calls(rng, 2, block) == [[0.0, 0.6, 0.8], [1.0, 0.0, 0.0]]
     assert sum(n for n, _ in rng.sizes) == 3
     assert all(n <= block for n, _ in rng.sizes)
     assert random_direction(rng) == Direction(0.0, 0.0, -1.0)

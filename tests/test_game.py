@@ -24,6 +24,7 @@ from ghzgames.core import (
 from support import (
     PD,
     direction_profiles,
+    quantum_payoffs_inplane,
     random_inplane_profile,
     random_profile,
     random_symmetric_game,
@@ -106,20 +107,20 @@ def test_classical_payoffs_are_expected_payoffs_over_product_weights():
 
 
 def test_inplane_payoffs_all_x():
-    payoffs = game.quantum_payoffs_inplane(PD, ALL_X)
+    payoffs = quantum_payoffs_inplane(PD, ALL_X)
     for value in (payoffs.pi_a, payoffs.pi_b, payoffs.pi_c):
         assert value == pytest.approx(17 / 4, abs=1e-15)
 
 
 def test_inplane_payoffs_x_y_y():
-    payoffs = game.quantum_payoffs_inplane(PD, DirectionProfile(X_AXIS, Y_AXIS, Y_AXIS))
+    payoffs = quantum_payoffs_inplane(PD, DirectionProfile(X_AXIS, Y_AXIS, Y_AXIS))
     for value in (payoffs.pi_a, payoffs.pi_b, payoffs.pi_c):
         assert value == pytest.approx(4.0, abs=1e-15)
 
 
 def test_inplane_payoffs_reject_out_of_plane():
     with pytest.raises(NotInPlaneError):
-        game.quantum_payoffs_inplane(PD, ALL_Z)
+        quantum_payoffs_inplane(PD, ALL_Z)
 
 
 def test_inplane_matches_general_evaluation():
@@ -127,7 +128,7 @@ def test_inplane_matches_general_evaluation():
     for _ in range(100):
         g = random_symmetric_game(rng)
         profile = random_inplane_profile(rng)
-        via_plane = game.quantum_payoffs_inplane(g, profile)
+        via_plane = quantum_payoffs_inplane(g, profile)
         via_general = game.quantum_payoffs(symmetric_to_general(g), profile)
         assert abs(via_plane.pi_a - via_general.pi_a) <= 1e-12
         assert abs(via_plane.pi_b - via_general.pi_b) <= 1e-12

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -51,9 +52,15 @@ SCALES = {
 GRID = fibonacci_sphere(10_000)
 
 
-def _angle(d: Direction, e: Direction) -> float:
-    chord = math.hypot(d.a1 - e.a1, d.a2 - e.a2, d.a3 - e.a3)
+def _angle_of(d, e) -> float:
+    """The angle between two unit vectors given as triples, by its definition
+    from the chord; nash compares chords only."""
+    chord = math.hypot(d[0] - e[0], d[1] - e[1], d[2] - e[2])
     return 2.0 * math.asin(min(1.0, chord / 2.0))
+
+
+def _angle(d: Direction, e: Direction) -> float:
+    return _angle_of(d.components(), e.components())
 
 
 def _scaled(g: SymmetricGame, scale: float) -> SymmetricGame:
@@ -142,6 +149,41 @@ def test_payoff_diff_matches_direct_payoff_difference():
             - game.quantum_payoffs(table, deviated).for_player(player)
         )
         assert abs(nash.payoff_diff(g, starred, player, alt) - direct) <= 1e-12
+
+
+#: gamma1 = gamma2 = 2e308 in payoff units, beyond the float range.
+BIG = SymmetricGame(1e308, -1e308, 1e308, -1e308, 1e308, -1e308)
+
+
+def test_payoff_diff_near_the_float_maximum_is_finite():
+    assert nash.payoff_diff(BIG, ALL_X, "A", Z_AXIS) == 2.5e307
+    sixty_degrees = Direction(0.5, math.sqrt(3.0) / 2.0, 0.0)
+    margins = nash.case_a_constraints(BIG, ALL_X, DirectionProfile(sixty_degrees, X_AXIS, X_AXIS))
+    assert margins[0] == pytest.approx(1e308, rel=1e-15)
+    assert margins[1:] == (0.0, 0.0)
+
+
+def test_payoff_diff_beyond_the_float_range_saturates():
+    # gamma1 = 4 * M, so A's loss is +-2 * M.
+    m = sys.float_info.max
+    g = SymmetricGame(m, -m, 0, -m, 0, m)
+    assert nash.payoff_diff(g, ALL_Z, "A", MINUS_Z) == math.inf
+    assert nash.payoff_diff(g, DirectionProfile(MINUS_Z, Z_AXIS, Z_AXIS), "A", Z_AXIS) == -math.inf
+
+
+@pytest.mark.parametrize("k", [-60, 40, 60])
+def test_payoff_diff_keeps_its_bits_under_power_of_two_scaling(k):
+    rng = np.random.default_rng(36)
+    for _ in range(100):
+        g = random_symmetric_game(rng)
+        scaled = SymmetricGame(*(math.ldexp(v, k) for v in g.constants()))
+        starred, alt = random_profile(rng), random_direction(rng)
+        for player in ("A", "B", "C"):
+            expected = math.ldexp(nash.payoff_diff(g, starred, player, alt), k)
+            assert repr(nash.payoff_diff(scaled, starred, player, alt)) == repr(expected)
+        starred, alt = random_inplane_profile(rng), random_inplane_profile(rng)
+        expected = tuple(math.ldexp(v, k) for v in nash.case_a_constraints(g, starred, alt))
+        assert repr(nash.case_a_constraints(scaled, starred, alt)) == repr(expected)
 
 
 # best_response ---------------------------------------------------------------
@@ -283,19 +325,71 @@ _RATIONAL_PROFILES = {
 }
 
 
+def _float_profile(rational) -> DirectionProfile:
+    return DirectionProfile(*(Direction(*map(float, d)) for d in rational))
+
+
 @pytest.mark.parametrize("scale", ["1", *SCALES])
 @pytest.mark.parametrize("g", [PD, TWO_POLE], ids=["PD", "TWO_POLE"])
 @pytest.mark.parametrize("name", sorted(_RATIONAL_PROFILES))
 def test_verify_ne_agrees_with_the_exact_verdict(name, g, scale):
     rational = _RATIONAL_PROFILES[name]
-    profile = DirectionProfile(*(Direction(*map(float, d)) for d in rational))
     scaled = _scaled(g, SCALES.get(scale, 1.0))
-    assert nash.verify_ne(scaled, profile).verdict == exact_verdict(scaled, rational)
+    assert nash.verify_ne(scaled, _float_profile(rational)).verdict == exact_verdict(scaled, rational)
 
 
 def test_exact_verdicts_of_the_dilemma_landmarks():
     verdicts = {name: exact_verdict(PD, rational) for name, rational in _RATIONAL_PROFILES.items()}
     assert verdicts == {"all_x": nash.STRICT, "all_z": nash.NOT_NE, "z_z_minus_z": nash.WEAK, "continuum": nash.STRICT}
+
+
+#: The symmetry tests' profiles: the landmarks, and one with three unlike
+#: players off the plane.
+_SYMMETRY_PROFILES = {
+    **_RATIONAL_PROFILES,
+    "off_plane": (
+        (Fraction(3, 5), 0, Fraction(4, 5)),
+        (0, Fraction(5, 13), Fraction(12, 13)),
+        (Fraction(2, 3), Fraction(-2, 3), Fraction(1, 3)),
+    ),
+}
+
+
+def _mirrored(d: Direction | None) -> Direction | None:
+    return None if d is None else Direction(d.a1, d.a2, -d.a3)
+
+
+@pytest.mark.parametrize("g", [PD, TWO_POLE], ids=["PD", "TWO_POLE"])
+@pytest.mark.parametrize("name", sorted(_SYMMETRY_PROFILES))
+def test_permuting_the_players_permutes_the_best_responses(name, g):
+    # The game is symmetric, and each gradient is symmetric in the two
+    # opponents, so a permuted profile has the permuted best responses.
+    rational = _SYMMETRY_PROFILES[name]
+    report = nash.verify_ne(g, _float_profile(rational))
+    for order in itertools.permutations(range(3)):
+        moved = [rational[i] for i in order]
+        moved_report = nash.verify_ne(g, _float_profile(moved))
+        assert moved_report.verdict == report.verdict == exact_verdict(g, moved)
+        for player, i in zip("ABC", order):
+            assert repr(moved_report.best_responses[player]) == repr(report.best_responses["ABC"[i]])
+        if report.witness is not None:
+            assert moved_report.witness.gain == report.witness.gain
+
+
+@pytest.mark.parametrize("g", [PD, TWO_POLE], ids=["PD", "TWO_POLE"])
+@pytest.mark.parametrize("name", sorted(_SYMMETRY_PROFILES))
+def test_negating_every_third_component_mirrors_the_best_responses(name, g):
+    # Each gradient's third component changes sign and the other two stay.
+    rational = _SYMMETRY_PROFILES[name]
+    profile = _float_profile(rational)
+    report = nash.verify_ne(g, profile)
+    flipped = [(x, y, -z) for x, y, z in rational]
+    flipped_report = nash.verify_ne(g, DirectionProfile(*map(_mirrored, (profile.a, profile.b, profile.c))))
+    assert flipped_report.verdict == report.verdict == exact_verdict(g, flipped)
+    mirrored = {player: _mirrored(d) for player, d in report.best_responses.items()}
+    assert repr(flipped_report.best_responses) == repr(mirrored)
+    if report.witness is not None:
+        assert flipped_report.witness == replace(report.witness, direction=_mirrored(report.witness.direction))
 
 
 def test_a_witness_gain_beyond_the_float_range_is_inf():
@@ -400,7 +494,7 @@ def _pairwise_clusters(fixed_points):
             failed.append(seed_index)
             continue
         for known, hits in clusters:
-            if nash._profile_distance(_triples(known), _triples(fixed)) < nash.DEDUP_TOL_RAD:
+            if max(map(_angle_of, _triples(known), _triples(fixed))) < nash.DEDUP_TOL_RAD:
                 hits.append(seed_index)
                 break
         else:
@@ -694,23 +788,36 @@ def test_search_and_verdicts_keep_their_bits_under_power_of_two_scaling(index):
             assert repr(nash.verify_ne(scaled, profile)) == repr(_gain_scaled(nash.verify_ne(g, profile), k))
 
 
-# the convergence test on the chord --------------------------------------------
+# the tolerances on the chord ---------------------------------------------------
 
 def _verdicts(d, e):
     """Whether a move from d to e passes SWEEP_MOVE_TOL by its chord, and by its angle."""
-    chord = math.hypot(d[0] - e[0], d[1] - e[1], d[2] - e[2])
-    return chord < nash.SWEEP_MOVE_TOL, nash._angle_between(d, e) < nash.SWEEP_MOVE_TOL
+    return math.dist(d, e) < nash.SWEEP_MOVE_TOL, _angle_of(d, e) < nash.SWEEP_MOVE_TOL
 
 
-def test_chord_and_angle_agree_next_to_the_sweep_tolerance():
-    # The tolerance itself and its 64 float neighbours on either side.
-    below, above = [nash.SWEEP_MOVE_TOL], [nash.SWEEP_MOVE_TOL]
+#: Each chord rule of nash: the chord it is compared with, the angle it
+#: stands for, and whether a distance equal to the bound passes.
+_CHORD_RULES = {
+    "SWEEP_MOVE_TOL": (nash.SWEEP_MOVE_TOL, nash.SWEEP_MOVE_TOL, False),
+    "ALIGN_TOL_RAD": (nash.ALIGN_TOL_RAD, nash.ALIGN_TOL_RAD, True),
+    "_DEDUP_CHORD": (nash._DEDUP_CHORD, nash.DEDUP_TOL_RAD, False),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_CHORD_RULES))
+def test_chord_and_angle_agree_next_to_each_tolerance(rule):
+    # The chord bound itself and its 64 float neighbours on either side.
+    bound, angle_bound, inclusive = _CHORD_RULES[rule]
+    below, above = [bound], [bound]
     for _ in range(64):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], 1.0))
     for chord in below + above:
-        chord_passes, angle_passes = _verdicts((chord, 0.0, 0.0), (0.0, 0.0, 0.0))
-        assert chord_passes == angle_passes, chord
+        angle = _angle_of((chord, 0.0, 0.0), (0.0, 0.0, 0.0))
+        if inclusive:
+            assert (chord <= bound) == (angle <= angle_bound), chord
+        else:
+            assert (chord < bound) == (angle < angle_bound), chord
 
 
 def test_chord_and_angle_agree_on_unit_moves_of_log_uniform_size():

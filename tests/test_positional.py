@@ -31,7 +31,7 @@ from ghzgames.core import (
     check_symmetry,
     symmetric_to_general,
 )
-from support import direction_profiles, finite_payoffs, kz_probability, symmetric_games
+from support import direction_profiles, finite_payoffs, kz_probability, quantum_payoffs_inplane, symmetric_games
 
 
 def _same_float(x: float, y: float) -> bool:
@@ -84,7 +84,7 @@ def test_payoffs_equal_the_per_outcome_reference(table, mixed, profile, symmetri
     assert repr(game.quantum_payoffs(table, profile)) == repr(quantum)
     # With every third component 0 the closed form is the in-plane weight, bit for bit.
     in_plane = _payoffs_by_outcome(symmetric_to_general(symmetric), lambda o: kz_probability(o, inplane))
-    assert repr(game.quantum_payoffs_inplane(symmetric, inplane)) == repr(in_plane)
+    assert repr(quantum_payoffs_inplane(symmetric, inplane)) == repr(in_plane)
 
 
 @given(_tables)

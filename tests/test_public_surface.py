@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "ghzgames"
 #: Public names kept without a caller, each with its reason.
 ALLOWED = {
     "Y_AXIS": "a named axis of the paper's in-plane profiles; the acceptance tests use it",
-    "quantum_payoffs_inplane": "states the paper's X-Y-plane payoff formula; the acceptance tests check it",
     "classical_pure_ne": "states the paper's classical pure equilibria; the acceptance tests check it",
     "case_a_constraints": "states the paper's in-plane Case A analysis; the acceptance tests check it",
     "case_b_check": "states the paper's in-plane Case B analysis; the acceptance tests check it",
